@@ -2,6 +2,9 @@
    evaluation (see EXPERIMENTS.md for the recorded outputs), plus Bechamel
    micro-benchmarks of the synthesis kernels.
 
+   Shared measurement helpers (interleaved reps, medians, the BENCH_*.json
+   writer) live in harness.ml.
+
    Usage:
      dune exec bench/main.exe            # run everything
      dune exec bench/main.exe -- fig2 fig3 fig4 fig5 overhead leakage \
@@ -15,10 +18,10 @@
      dune exec bench/main.exe -- sweep     # memoized sweep engine: cache
                                            # on/off wall time + identity on
                                            # d36/d48, writes BENCH_sweep.json
-     dune exec bench/main.exe -- scale     # flat A* core vs reference
-                                           # Dijkstra: d48 speedup (gated
-                                           # >= 2x) + identity, d128 pair,
-                                           # d256 flat-only wall clock,
+     dune exec bench/main.exe -- scale     # routing core at d48/d128/d256:
+                                           # wall clock, candidates/s, minor
+                                           # words/candidate; every rep must
+                                           # reproduce the first (gated),
                                            # writes BENCH_scale.json
      dune exec bench/main.exe -- delta     # incremental re-synthesis: rerun
                                            # vs fresh per delta kind on d36,
@@ -55,6 +58,9 @@ module Bench_case = Noc_benchmarks.Bench_case
 module D26 = Noc_benchmarks.D26
 module Partitions = Noc_benchmarks.Partitions
 module Sim = Noc_sim.Sim
+module J = Noc_synthesis.Report.Json
+
+let wall = Harness.wall
 
 let config = Config.default
 let soc = D26.soc
@@ -379,11 +385,6 @@ let ablation () =
 
 (* ---------------- EXP-PAR: multicore DSE speedup ---------------- *)
 
-let wall f =
-  let t0 = Noc_exec.Metrics.now_ns () in
-  let r = f () in
-  (Int64.to_float (Int64.sub (Noc_exec.Metrics.now_ns ()) t0) /. 1e9, r)
-
 let front_signature result =
   List.map
     (fun p ->
@@ -551,7 +552,6 @@ let sweep () =
   section
     "EXP-SWEEP: memoized sweep engine, cache on vs off (writes \
      BENCH_sweep.json; cached and uncached runs must be bit-identical)";
-  let module J = Noc_synthesis.Report.Json in
   let gate_failed = ref false in
   let rows = ref [] in
   Printf.printf "%-6s %5s %12s %12s %9s  %s\n" "bench" "jobs" "uncached s"
@@ -571,53 +571,31 @@ let sweep () =
       ignore (Synth.run ~options:(options ~cache:false ~jobs:1) config bsoc vi);
       List.iter
         (fun jobs ->
-          (* Reps of the two configurations are interleaved (one uncached,
-             one cached, repeat) until ~3 s of wall clock is spent (at
-             least 5 pairs, at most 30), and each side keeps its fastest
-             rep: the minimum is the standard noise filter for sub-second
-             runs, where one GC major slice or scheduler blip swamps the
-             real difference, and interleaving keeps slow clock-frequency
-             drift from biasing one side.  Every rep starts from cold
-             process-wide tables, so the cached column measures what one
-             sweep's memoization buys, not leftovers of a previous rep. *)
-          let one ~cache =
+          (* Uncached and cached reps interleave until ~3 s of wall clock
+             is spent (at least 5 pairs, at most 30); each side keeps its
+             fastest rep.  Every rep starts from cold process-wide
+             tables, so the cached column measures what one sweep's
+             memoization buys, not leftovers of a previous rep. *)
+          let one ~cache () =
             Noc_cache.Memo.clear_all ();
             wall (fun () ->
                 Synth.run ~options:(options ~cache ~jobs) config bsoc vi)
           in
-          let best_off = ref infinity and best_on = ref infinity in
-          let r_off = ref None and r_on = ref None in
-          let ratios = ref [] in
-          let keep best result (t, r) =
-            if t < !best then best := t;
-            match !result with
-            | None -> result := Some r
-            | Some prev ->
-              (* every rep must agree with the first, cached or not *)
-              assert (result_signature prev = result_signature r)
+          let sides =
+            Harness.interleaved ~min_rounds:5 ~max_rounds:30 ~budget_s:3.0
+              ~signature:result_signature
+              [| one ~cache:false; one ~cache:true |]
           in
-          let spent = ref 0.0 and pairs = ref 0 in
-          while !pairs < 5 || (!pairs < 30 && !spent < 3.0) do
-            let ((t_off, _) as off) = one ~cache:false in
-            let ((t_on, _) as on_) = one ~cache:true in
-            keep best_off r_off off;
-            keep best_on r_on on_;
-            ratios := (t_off /. t_on) :: !ratios;
-            spent := !spent +. t_off +. t_on;
-            incr pairs
-          done;
-          let t_off, r_off = (!best_off, Option.get !r_off) in
-          let t_on, r_on = (!best_on, Option.get !r_on) in
-          let identical = result_signature r_off = result_signature r_on in
-          (* the speedup is the median of the per-pair ratios: each pair
-             ran back to back, so a ratio is immune to drift, and the
-             median to the occasional GC-stretched outlier rep *)
-          let speedup =
-            let sorted = List.sort compare !ratios in
-            List.nth sorted (List.length sorted / 2)
+          let off = sides.(0) and on_ = sides.(1) in
+          (* every rep must agree with the first, cached or not *)
+          let identical =
+            off.Harness.reproducible && on_.Harness.reproducible
+            && result_signature off.Harness.first
+               = result_signature on_.Harness.first
           in
+          let speedup = Harness.median_ratio off on_ in
           Printf.printf "%-6s %5d %12.3f %12.3f %8.2fx  %s\n%!" name jobs
-            t_off t_on speedup
+            off.Harness.best_s on_.Harness.best_s speedup
             (if identical then "identical" else "MISMATCH");
           assert identical;
           if name = "d36" && jobs = 1 && speedup < 1.0 then
@@ -627,179 +605,95 @@ let sweep () =
               [
                 ("benchmark", J.String name);
                 ("jobs", J.Int jobs);
-                ("uncached_s", J.Float t_off);
-                ("cached_s", J.Float t_on);
+                ("uncached_s", J.Float off.Harness.best_s);
+                ("cached_s", J.Float on_.Harness.best_s);
                 ("speedup", J.Float speedup);
                 ("identical", J.Bool identical);
               ]
             :: !rows)
         [ 1; 4 ])
     [ "d36"; "d48" ];
-  let doc =
-    J.to_string
-      (J.document ~kind:"bench_sweep"
-         [
-           ("cache_counters",
-            J.Obj
-              (List.filter_map
-                 (fun (k, v) ->
-                   if String.length k >= 6 && String.sub k 0 6 = "cache." then
-                     Some (k, J.Int v)
-                   else None)
-                 (Noc_exec.Metrics.counters ())));
-           ("rows", J.List (List.rev !rows));
-         ])
-    ^ "\n"
-  in
-  let oc = open_out "BENCH_sweep.json" in
-  output_string oc doc;
-  close_out oc;
-  Printf.printf "\nwrote BENCH_sweep.json\n";
+  Harness.write_json "BENCH_sweep.json" ~kind:"bench_sweep"
+    [
+      ("cache_counters", Harness.counters [ "cache." ]);
+      ("rows", J.List (List.rev !rows));
+    ];
   if !gate_failed then begin
     Printf.printf "FAIL: cached d36 sequential sweep slower than uncached\n";
     exit 1
   end
 
-(* ---------------- EXP-SCALE: flat A* core vs reference ---------------- *)
+(* ---------------- EXP-SCALE: the routing core at scale ---------------- *)
 
-(* The flat SoA + A* routing core against the reference Dijkstra path it
-   replaced, on whole synthesis sweeps.  Reference states keep the
-   pre-refactor per-candidate allocation pattern ([Path_alloc.make_state]
-   pools scratch only for the flat engine), so the reference column is
-   the pre-optimization baseline, not a co-optimized twin.  Gates:
-
-   - every rep of every engine must be bit-identical to every other rep
-     of either engine on the same benchmark (full [result_signature]);
-   - the d48 speedup — median of per-pair flat/reference ratios, each
-     pair run back to back so clock drift cancels — must be >= 2x.
-
-   d128 runs identity-checked pairs for the wall-clock record; d256 is
-   flat-only (the reference engine needs minutes there, which is the
-   sweep the flat core exists to open up).  Candidates/s and minor
-   words/candidate come from [Synth.result.candidates_tried] and the
-   [synth.run.minor_words] metrics counter — sequential runs, so the Gc
-   deltas are attributable. *)
+(* Whole synthesis sweeps on one domain at d48, d128 and d256: the best
+   wall time over a few reps, candidates/s, and minor words per candidate
+   (from the [synth.run.minor_words] counter of the last rep — sequential
+   runs, so the Gc delta is attributable).  Every rep starts from cold
+   process-wide tables.  Gate: every rep reproduces the first rep's full
+   [result_signature].  No speed gate: the parent-vs-change comparison
+   belongs to perfbench's [cold] workload, which interleaves both builds
+   on one host, while a bound against committed figures would trip on
+   host drift alone. *)
 let scale () =
   section
-    "EXP-SCALE: flat A* routing core vs reference Dijkstra (writes \
-     BENCH_scale.json; identity gated; d48 speedup gated >= 2x)";
-  let module J = Noc_synthesis.Report.Json in
+    "EXP-SCALE: routing core at d48/d128/d256 (writes BENCH_scale.json; \
+     every rep must reproduce the first)";
   let gate_failed = ref false in
   let rows = ref [] in
-  let options engine =
-    {
-      Synth.Options.default with
-      Synth.Options.routing = engine;
-      domains = Some 1;
-    }
-  in
-  let one engine case =
-    (* cold process-wide tables per rep: measure the engine, not leftovers *)
-    Noc_cache.Memo.clear_all ();
-    let w0 = Noc_exec.Metrics.counter_value "synth.run.minor_words" in
-    let t, r =
-      wall (fun () ->
-          Synth.run ~options:(options engine) config case.Bench_case.soc
-            case.Bench_case.default_vi)
+  let options = { Synth.Options.default with Synth.Options.domains = Some 1 } in
+  Printf.printf "%-6s %5s %9s %11s %12s  %s\n" "bench" "reps" "best s"
+    "cand/s" "words/cand" "reps agree";
+  let measure name ~min_reps ~max_reps ~budget_s =
+    let case = Bench_case.find name in
+    let words = ref 0 in
+    let one () =
+      Noc_cache.Memo.clear_all ();
+      let w0 = Noc_exec.Metrics.counter_value "synth.run.minor_words" in
+      let t, r =
+        wall (fun () ->
+            Synth.run ~options config case.Bench_case.soc
+              case.Bench_case.default_vi)
+      in
+      words := Noc_exec.Metrics.counter_value "synth.run.minor_words" - w0;
+      (t, r)
     in
-    let dw = Noc_exec.Metrics.counter_value "synth.run.minor_words" - w0 in
-    (t, r, dw)
-  in
-  let median xs =
-    let sorted = List.sort compare xs in
-    List.nth sorted (List.length sorted / 2)
-  in
-  Printf.printf "%-6s %9s %9s %8s %11s %12s %12s  %s\n" "bench" "flat s"
-    "ref s" "speedup" "flat cand/s" "flat w/cand" "ref w/cand" "identical";
-  let row name ~flat_s ~ref_s ~speedup ~cands ~flat_w ~ref_w ~identical =
-    let per_cand w = float_of_int w /. float_of_int (max cands 1) in
-    let opt f = function None -> J.Null | Some v -> f v in
-    Printf.printf "%-6s %9.3f %9s %8s %11.0f %12.0f %12s  %s\n%!" name flat_s
-      (match ref_s with Some t -> Printf.sprintf "%.3f" t | None -> "-")
-      (match speedup with Some s -> Printf.sprintf "%.2fx" s | None -> "-")
-      (float_of_int cands /. flat_s)
-      (per_cand flat_w)
-      (match ref_w with
-      | Some w -> Printf.sprintf "%.0f" (per_cand w)
-      | None -> "-")
-      (match identical with
-      | Some true -> "identical"
-      | Some false -> "MISMATCH"
-      | None -> "flat only");
+    let side =
+      (Harness.interleaved ~min_rounds:min_reps ~max_rounds:max_reps ~budget_s
+         ~signature:result_signature [| one |]).(0)
+    in
+    let cands = side.Harness.first.Synth.candidates_tried in
+    let per_cand = float_of_int !words /. float_of_int (max cands 1) in
+    let reps = List.length side.Harness.times in
+    Printf.printf "%-6s %5d %9.3f %11.0f %12.0f  %s\n%!" name reps
+      side.Harness.best_s
+      (float_of_int cands /. side.Harness.best_s)
+      per_cand
+      (if side.Harness.reproducible then "yes" else "MISMATCH");
+    if not side.Harness.reproducible then gate_failed := true;
     rows :=
       J.Obj
         [
           ("benchmark", J.String name);
-          ("flat_s", J.Float flat_s);
-          ("reference_s", opt (fun t -> J.Float t) ref_s);
-          ("speedup_median", opt (fun s -> J.Float s) speedup);
+          ("reps", J.Int reps);
+          ("wall_s", J.Float side.Harness.best_s);
           ("candidates", J.Int cands);
-          ("flat_candidates_per_s", J.Float (float_of_int cands /. flat_s));
-          ("flat_minor_words_per_candidate", J.Float (per_cand flat_w));
-          ( "reference_minor_words_per_candidate",
-            opt (fun w -> J.Float (per_cand w)) ref_w );
-          ("identical", opt (fun b -> J.Bool b) identical);
+          ("candidates_per_s", J.Float (float_of_int cands /. side.Harness.best_s));
+          ("minor_words_per_candidate", J.Float per_cand);
+          ("reproducible", J.Bool side.Harness.reproducible);
         ]
       :: !rows
   in
-  let pair_case name ~min_pairs ~max_pairs ~budget_s ~gate_speedup =
-    let case = Bench_case.find name in
-    (* warm-up so first-touch allocation effects hit neither engine *)
-    ignore (one Noc_synthesis.Path_alloc.Flat case);
-    let best_f = ref infinity and best_r = ref infinity in
-    let w_f = ref 0 and w_r = ref 0 in
-    let sig_f = ref None and sig_r = ref None in
-    let cands = ref 0 in
-    let ratios = ref [] in
-    let keep best words stored (t, r, dw) =
-      if t < !best then best := t;
-      words := dw;
-      cands := r.Synth.candidates_tried;
-      match !stored with
-      | None -> stored := Some (result_signature r)
-      | Some prev ->
-        (* every rep must agree with the first, whatever the engine *)
-        assert (prev = result_signature r)
-    in
-    let spent = ref 0.0 and pairs = ref 0 in
-    while !pairs < min_pairs || (!pairs < max_pairs && !spent < budget_s) do
-      let ((tf, _, _) as f) = one Noc_synthesis.Path_alloc.Flat case in
-      let ((tr, _, _) as r) = one Noc_synthesis.Path_alloc.Reference case in
-      keep best_f w_f sig_f f;
-      keep best_r w_r sig_r r;
-      ratios := (tr /. tf) :: !ratios;
-      spent := !spent +. tf +. tr;
-      incr pairs
-    done;
-    let identical = !sig_f = !sig_r in
-    let speedup = median !ratios in
-    row name ~flat_s:!best_f ~ref_s:(Some !best_r) ~speedup:(Some speedup)
-      ~cands:!cands ~flat_w:!w_f ~ref_w:(Some !w_r)
-      ~identical:(Some identical);
-    if not identical then gate_failed := true;
-    if gate_speedup && speedup < 2.0 then begin
-      Printf.printf "FAIL: %s flat speedup %.2fx < 2x\n" name speedup;
-      gate_failed := true
-    end
-  in
-  pair_case "d48" ~min_pairs:5 ~max_pairs:20 ~budget_s:8.0 ~gate_speedup:true;
-  pair_case "d128" ~min_pairs:2 ~max_pairs:3 ~budget_s:10.0
-    ~gate_speedup:false;
-  (* d256: the sweep the reference engine can't afford — flat only *)
-  let d256 = Bench_case.find "d256" in
-  let t, r, dw = one Noc_synthesis.Path_alloc.Flat d256 in
-  row "d256" ~flat_s:t ~ref_s:None ~speedup:None
-    ~cands:r.Synth.candidates_tried ~flat_w:dw ~ref_w:None ~identical:None;
-  let doc =
-    J.to_string (J.document ~kind:"bench_scale" [ ("rows", J.List (List.rev !rows)) ])
-    ^ "\n"
-  in
-  let oc = open_out "BENCH_scale.json" in
-  output_string oc doc;
-  close_out oc;
-  Printf.printf "\nwrote BENCH_scale.json\n";
+  (* warm-up so first-touch allocation of the routing scratch hits no rep *)
+  (let d48 = Bench_case.find "d48" in
+   ignore
+     (Synth.run ~options config d48.Bench_case.soc d48.Bench_case.default_vi));
+  measure "d48" ~min_reps:5 ~max_reps:20 ~budget_s:4.0;
+  measure "d128" ~min_reps:3 ~max_reps:3 ~budget_s:0.0;
+  measure "d256" ~min_reps:2 ~max_reps:2 ~budget_s:0.0;
+  Harness.write_json "BENCH_scale.json" ~kind:"bench_scale"
+    [ ("rows", J.List (List.rev !rows)) ];
   if !gate_failed then begin
-    Printf.printf "FAIL: EXP-SCALE gate (identity or d48 speedup)\n";
+    Printf.printf "FAIL: EXP-SCALE gate (a rep differs from the first)\n";
     exit 1
   end
 
@@ -813,7 +707,6 @@ let scale () =
    reported honestly (their gate is only "no slower than fresh"). *)
 let delta () =
   let module Delta = Noc_spec.Delta in
-  let module J = Noc_synthesis.Report.Json in
   section
     "EXP-DELTA: single-edit incremental re-synthesis vs fresh run on d36 \
      (writes BENCH_delta.json; rerun must be bit-identical to fresh, \
@@ -871,45 +764,33 @@ let delta () =
          tables in between so the rerun can only reuse what base-spec
          warming (not the fresh edited run) put there.  Best-of filters
          GC noise, median-of-ratios filters drift. *)
-      let best_fresh = ref infinity and best_rerun = ref infinity in
-      let r_fresh = ref None and r_rerun = ref None in
-      let ratios = ref [] in
-      let keep best result (t, r) =
-        if t < !best then best := t;
-        match !result with
-        | None -> result := Some r
-        | Some first -> assert (result_signature first = result_signature r)
-      in
-      let spent = ref 0.0 and pairs = ref 0 in
-      while !pairs < 5 || (!pairs < 20 && !spent < 3.0) do
+      let fresh () =
         Noc_cache.Memo.clear_all ();
-        let ((t_f, _) as fresh) =
-          wall (fun () -> Synth.run ~options config soc' vi')
-        in
+        wall (fun () -> Synth.run ~options config soc' vi')
+      in
+      let rerun () =
         Noc_cache.Memo.clear_all ();
         let prev = Synth.run ~options config bsoc vi in
-        let t_r, (_, r_r) =
+        let t, (_, r) =
           wall (fun () ->
               Synth.rerun ~options ~prev ~delta:chain config bsoc vi)
         in
-        keep best_fresh r_fresh fresh;
-        keep best_rerun r_rerun (t_r, r_r);
-        ratios := (t_f /. t_r) :: !ratios;
-        spent := !spent +. t_f +. t_r;
-        incr pairs
-      done;
+        (t, r)
+      in
+      let sides =
+        Harness.interleaved ~min_rounds:5 ~max_rounds:20 ~budget_s:3.0
+          ~signature:result_signature [| fresh; rerun |]
+      in
+      let fresh = sides.(0) and rerun = sides.(1) in
+      (* bit-identity across reps of each side and across the two sides *)
       let identical =
-        (* bit-identity, asserted on every rep above and across the two
-           sides here *)
-        result_signature (Option.get !r_fresh)
-        = result_signature (Option.get !r_rerun)
+        fresh.Harness.reproducible && rerun.Harness.reproducible
+        && result_signature fresh.Harness.first
+           = result_signature rerun.Harness.first
       in
-      let speedup =
-        let sorted = List.sort compare !ratios in
-        List.nth sorted (List.length sorted / 2)
-      in
-      Printf.printf "%-20s %12.4f %12.4f %8.2fx  %s\n%!" kind !best_fresh
-        !best_rerun speedup
+      let speedup = Harness.median_ratio fresh rerun in
+      Printf.printf "%-20s %12.4f %12.4f %8.2fx  %s\n%!" kind
+        fresh.Harness.best_s rerun.Harness.best_s speedup
         (if identical then "identical" else "MISMATCH");
       assert identical;
       (* Gates: the clean kinds must deliver the headline speedup (every
@@ -933,33 +814,18 @@ let delta () =
           [
             ("kind", J.String kind);
             ("benchmark", J.String "d36");
-            ("fresh_s", J.Float !best_fresh);
-            ("rerun_s", J.Float !best_rerun);
+            ("fresh_s", J.Float fresh.Harness.best_s);
+            ("rerun_s", J.Float rerun.Harness.best_s);
             ("speedup", J.Float speedup);
             ("identical", J.Bool identical);
           ]
         :: !rows)
     kinds;
-  let doc =
-    J.to_string
-      (J.document ~kind:"bench_delta"
-         [
-           ("cache_counters",
-            J.Obj
-              (List.filter_map
-                 (fun (k, v) ->
-                   if String.length k >= 6 && String.sub k 0 6 = "cache." then
-                     Some (k, J.Int v)
-                   else None)
-                 (Noc_exec.Metrics.counters ())));
-           ("rows", J.List (List.rev !rows));
-         ])
-    ^ "\n"
-  in
-  let oc = open_out "BENCH_delta.json" in
-  output_string oc doc;
-  close_out oc;
-  Printf.printf "\nwrote BENCH_delta.json\n";
+  Harness.write_json "BENCH_delta.json" ~kind:"bench_delta"
+    [
+      ("cache_counters", Harness.counters [ "cache." ]);
+      ("rows", J.List (List.rev !rows));
+    ];
   if !gate_failed then exit 1
 
 (* ---------------- EXP-SCEN: multi-scenario synthesis ---------------- *)
@@ -973,7 +839,6 @@ let delta () =
    scenario-weight edit re-scores without re-synthesizing
    (Synth.rerun_scenarios reuses the union sweep verbatim). *)
 let scenario_bench () =
-  let module J = Noc_synthesis.Report.Json in
   let module Delta = Noc_spec.Delta in
   section
     "EXP-SCEN: multi-scenario synthesis on d36 (writes BENCH_scenario.json; \
@@ -1105,31 +970,23 @@ let scenario_bench () =
           ])
       runs
   in
-  let doc =
-    J.to_string
-      (J.document ~kind:"bench_scenario"
-         [
-           ("benchmark", J.String "d36");
-           ("scenarios", J.Int (List.length sr.Synth.evals));
-           ("scenario_digest", J.String (Scenario.digest scenarios));
-           ("weighted_power_mw", J.Float sr.Synth.weighted_power_mw);
-           ("union_baseline_mw", J.Float sr.Synth.union_baseline_mw);
-           ("saving_pct", J.Float saving);
-           ("all_feasible", J.Bool all_feasible);
-           ("beats_baseline", J.Bool beats_baseline);
-           ("deterministic", J.Bool deterministic);
-           ("rescore_reuses_union", J.Bool rescore_reuses_union);
-           ("rescore_s", J.Float t_rescore);
-           ("result_digest", J.String (digest sr));
-           ("evals", J.List (List.map eval_json sr.Synth.evals));
-           ("rows", J.List rows);
-         ])
-    ^ "\n"
-  in
-  let oc = open_out "BENCH_scenario.json" in
-  output_string oc doc;
-  close_out oc;
-  Printf.printf "\nwrote BENCH_scenario.json\n";
+  Harness.write_json "BENCH_scenario.json" ~kind:"bench_scenario"
+    [
+      ("benchmark", J.String "d36");
+      ("scenarios", J.Int (List.length sr.Synth.evals));
+      ("scenario_digest", J.String (Scenario.digest scenarios));
+      ("weighted_power_mw", J.Float sr.Synth.weighted_power_mw);
+      ("union_baseline_mw", J.Float sr.Synth.union_baseline_mw);
+      ("saving_pct", J.Float saving);
+      ("all_feasible", J.Bool all_feasible);
+      ("beats_baseline", J.Bool beats_baseline);
+      ("deterministic", J.Bool deterministic);
+      ("rescore_reuses_union", J.Bool rescore_reuses_union);
+      ("rescore_s", J.Float t_rescore);
+      ("result_digest", J.String (digest sr));
+      ("evals", J.List (List.map eval_json sr.Synth.evals));
+      ("rows", J.List rows);
+    ];
   let gate name ok =
     if not ok then Printf.printf "FAIL: %s\n" name;
     not ok
@@ -1160,18 +1017,12 @@ let scenario_bench () =
    request with error documents and still be alive afterwards.  Writes
    BENCH_serve.json. *)
 let serve () =
-  let module J = Noc_synthesis.Report.Json in
   let module Serve = Noc_serve.Serve in
   section
     "EXP-SERVE: daemon + persistent store, repeat/near-repeat/cold mix on \
      d26 (writes BENCH_serve.json; warm store hits must be >= 50x faster \
      than cold and bit-identical)";
-  let dir =
-    let d = Filename.temp_file "noc-serve-bench" "" in
-    Sys.remove d;
-    Unix.mkdir d 0o700;
-    d
-  in
+  let dir = Harness.temp_dir "noc-serve-bench" in
   let socket_path = Filename.concat dir "serve.sock" in
   let store_dir = Filename.concat dir "store" in
   (* other experiments may have warmed the process-wide tables; the cold
@@ -1197,12 +1048,6 @@ let serve () =
     match J.member name resp with
     | Some (J.Int i) -> i
     | _ -> Printf.ksprintf failwith "response is missing int field %S" name
-  in
-  let percentile p xs =
-    let a = Array.of_list xs in
-    Array.sort compare a;
-    let n = Array.length a in
-    a.(min (n - 1) (int_of_float (p /. 100.0 *. float_of_int (n - 1) +. 0.5)))
   in
   let synth_request =
     envelope [ ("op", J.String "synth"); ("benchmark", J.String "d26") ]
@@ -1319,8 +1164,8 @@ let serve () =
       case.Bench_case.default_vi
   in
   let identical = Serve.Codec.result_digest local = digest in
-  let warm_p50 = percentile 50.0 !warm_ns
-  and warm_p99 = percentile 99.0 !warm_ns in
+  let warm_p50 = Harness.percentile 50.0 !warm_ns
+  and warm_p99 = Harness.percentile 99.0 !warm_ns in
   let speedup = float_of_int cold_ns /. warm_p50 in
   let req_s = float_of_int n_warm /. burst_s in
   Printf.printf "%-28s %14s\n" "request" "in-daemon";
@@ -1339,54 +1184,30 @@ let serve () =
   Printf.printf "store speedup %.1fx   identical %b   survived %b   \
                  store entries %d\n%!"
     speedup identical survived store_entries;
-  let counters =
-    List.filter_map
-      (fun (k, v) ->
-        let pre p =
-          String.length k >= String.length p && String.sub k 0 (String.length p) = p
-        in
-        if pre "store." || pre "serve." then Some (k, J.Int v) else None)
-      (Noc_exec.Metrics.counters ())
-  in
-  let doc =
-    J.to_string
-      (J.document ~kind:"bench_serve"
-         [
-           ("benchmark", J.String "d26");
-           ("cold_ns", J.Int cold_ns);
-           ("cold_wall_s", J.Float wall_cold);
-           ("store_hit_ns", J.Int store_hit_ns);
-           ( "store_hit_speedup",
-             J.Float (float_of_int cold_ns /. float_of_int store_hit_ns) );
-           ("warm_requests", J.Int n_warm);
-           ("warm_p50_ns", J.Float warm_p50);
-           ("warm_p99_ns", J.Float warm_p99);
-           ("warm_req_per_s", J.Float req_s);
-           ("near_repeat_ns", J.Int near_ns);
-           ("near_repeat_source", J.String near_source);
-           ("cold2_ns", J.Int cold2_ns);
-           ("speedup", J.Float speedup);
-           ("identical", J.Bool identical);
-           ("survived_malformed", J.Bool malformed_ok);
-           ("survived_invalid", J.Bool invalid_ok);
-           ("survived", J.Bool survived);
-           ("store_entries", J.Int store_entries);
-           ("counters", J.Obj counters);
-         ])
-    ^ "\n"
-  in
-  let oc = open_out "BENCH_serve.json" in
-  output_string oc doc;
-  close_out oc;
-  Printf.printf "\nwrote BENCH_serve.json\n";
-  let rec rm path =
-    if Sys.is_directory path then begin
-      Array.iter (fun f -> rm (Filename.concat path f)) (Sys.readdir path);
-      Unix.rmdir path
-    end
-    else Sys.remove path
-  in
-  (try rm dir with Sys_error _ | Unix.Unix_error _ -> ());
+  Harness.write_json "BENCH_serve.json" ~kind:"bench_serve"
+    [
+      ("benchmark", J.String "d26");
+      ("cold_ns", J.Int cold_ns);
+      ("cold_wall_s", J.Float wall_cold);
+      ("store_hit_ns", J.Int store_hit_ns);
+      ( "store_hit_speedup",
+        J.Float (float_of_int cold_ns /. float_of_int store_hit_ns) );
+      ("warm_requests", J.Int n_warm);
+      ("warm_p50_ns", J.Float warm_p50);
+      ("warm_p99_ns", J.Float warm_p99);
+      ("warm_req_per_s", J.Float req_s);
+      ("near_repeat_ns", J.Int near_ns);
+      ("near_repeat_source", J.String near_source);
+      ("cold2_ns", J.Int cold2_ns);
+      ("speedup", J.Float speedup);
+      ("identical", J.Bool identical);
+      ("survived_malformed", J.Bool malformed_ok);
+      ("survived_invalid", J.Bool invalid_ok);
+      ("survived", J.Bool survived);
+      ("store_entries", J.Int store_entries);
+      ("counters", Harness.counters [ "store."; "serve." ]);
+    ];
+  (try Harness.rm_rf dir with Sys_error _ | Unix.Unix_error _ -> ());
   let fail = ref false in
   if speedup < 50.0 then begin
     Printf.printf "FAIL: warm store hit only %.1fx faster than cold (gate: 50x)\n"
@@ -1419,18 +1240,12 @@ let serve () =
    concurrent cold request stays within 5x of the quiet p99 (the
    head-of-line fix, measured).  Writes BENCH_chaos.json. *)
 let chaos () =
-  let module J = Noc_synthesis.Report.Json in
   let module Serve = Noc_serve.Serve in
   section
     "EXP-CHAOS: concurrent daemon under a hostile client mix (writes \
      BENCH_chaos.json; daemon must survive, digests must stay \
      bit-identical, shed and head-of-line latency gated)";
-  let dir =
-    let d = Filename.temp_file "noc-chaos-bench" "" in
-    Sys.remove d;
-    Unix.mkdir d 0o700;
-    d
-  in
+  let dir = Harness.temp_dir "noc-chaos-bench" in
   let socket_path = Filename.concat dir "serve.sock" in
   let store_dir = Filename.concat dir "store" in
   Noc_cache.Memo.clear_all ();
@@ -1455,12 +1270,6 @@ let chaos () =
   let code resp = match J.member "code" resp with
     | Some (J.String c) -> c
     | _ -> ""
-  in
-  let percentile p xs =
-    let a = Array.of_list xs in
-    Array.sort compare a;
-    let n = Array.length a in
-    a.(min (n - 1) (int_of_float (p /. 100.0 *. float_of_int (n - 1) +. 0.5)))
   in
   (* every request on its own connection: the accept -> queue -> worker
      path is exactly where head-of-line blocking and shedding live *)
@@ -1525,8 +1334,8 @@ let chaos () =
     assert (str "result_digest" resp = digest);
     quiet_wall := w :: !quiet_wall
   done;
-  let quiet_p50 = percentile 50.0 !quiet_wall
-  and quiet_p99 = percentile 99.0 !quiet_wall in
+  let quiet_p50 = Harness.percentile 50.0 !quiet_wall
+  and quiet_p99 = Harness.percentile 99.0 !quiet_wall in
 
   (* ---- phase 2: head-of-line — warm burst racing a cold request ---- *)
   let cold_request =
@@ -1543,7 +1352,7 @@ let chaos () =
   done;
   let hol_cold_wall, hol_cold = Domain.join cold_racer in
   assert (str "status" hol_cold = "ok");
-  let concurrent_p99 = percentile 99.0 !concurrent_wall in
+  let concurrent_p99 = Harness.percentile 99.0 !concurrent_wall in
   (* the bound has a 25 ms floor so micro-jitter on a sub-ms quiet p99
      cannot fail the gate *)
   let hol_bound = Float.max (5.0 *. quiet_p99) 0.025 in
@@ -1815,65 +1624,41 @@ let chaos () =
     restart_status restart_source restart_digest_ok tmp_gc_swept tmp_planted;
   Printf.printf "drain: racer answered %s%s\n%!" drain_status
     (if drain_status = "error" then " (code " ^ code drained ^ ")" else "");
-  let counters =
-    List.filter_map
-      (fun (k, v) ->
-        let pre p =
-          String.length k >= String.length p && String.sub k 0 (String.length p) = p
-        in
-        if pre "store." || pre "serve." then Some (k, J.Int v) else None)
-      (Noc_exec.Metrics.counters ())
-  in
-  let doc =
-    J.to_string
-      (J.document ~kind:"bench_chaos"
-         [
-           ("benchmark", J.String "d12");
-           ("workers", J.Int workers);
-           ("queue_capacity", J.Int queue_capacity);
-           ("quiet_p50_ms", J.Float (quiet_p50 *. 1e3));
-           ("quiet_p99_ms", J.Float (quiet_p99 *. 1e3));
-           ("concurrent_p99_ms", J.Float (concurrent_p99 *. 1e3));
-           ("hol_bound_ms", J.Float (hol_bound *. 1e3));
-           ("hol_cold_wall_s", J.Float hol_cold_wall);
-           ("hol_ok", J.Bool hol_ok);
-           ("slow_writers_ok", J.Bool slow_ok);
-           ("disconnects_ok", J.Bool disc_ok);
-           ("malformed_ok", J.Bool malformed_ok);
-           ("deadline_answered", J.Int deadline_answered);
-           ("deadline_timeouts", J.Int deadline_timeouts);
-           ("hammer_ok", J.Bool hammer_ok);
-           ("alive_after_fleet", J.Bool alive_after_fleet);
-           ("shed_probes", J.Int shed_probes);
-           ("shed_all_overloaded", J.Bool shed_all_ok);
-           ("shed_max_ms", J.Float shed_max_ms);
-           ("shed_bound_ms", J.Float shed_bound_ms);
-           ("shed_ok", J.Bool shed_ok);
-           ("restart_status", J.String restart_status);
-           ("restart_source", J.String restart_source);
-           ("restart_digest_ok", J.Bool restart_digest_ok);
-           ("tmp_planted", J.Int tmp_planted);
-           ("tmp_gc_swept", J.Int tmp_gc_swept);
-           ("drain_status", J.String drain_status);
-           ("drain_ok", J.Bool drain_ok);
-           ("contamination_free", J.Bool contamination_free);
-           ("survived", J.Bool survived);
-           ("counters", J.Obj counters);
-         ])
-    ^ "\n"
-  in
-  let oc = open_out "BENCH_chaos.json" in
-  output_string oc doc;
-  close_out oc;
-  Printf.printf "\nwrote BENCH_chaos.json\n";
-  let rec rm path =
-    if Sys.is_directory path then begin
-      Array.iter (fun f -> rm (Filename.concat path f)) (Sys.readdir path);
-      Unix.rmdir path
-    end
-    else Sys.remove path
-  in
-  (try rm dir with Sys_error _ | Unix.Unix_error _ -> ());
+  Harness.write_json "BENCH_chaos.json" ~kind:"bench_chaos"
+    [
+      ("benchmark", J.String "d12");
+      ("workers", J.Int workers);
+      ("queue_capacity", J.Int queue_capacity);
+      ("quiet_p50_ms", J.Float (quiet_p50 *. 1e3));
+      ("quiet_p99_ms", J.Float (quiet_p99 *. 1e3));
+      ("concurrent_p99_ms", J.Float (concurrent_p99 *. 1e3));
+      ("hol_bound_ms", J.Float (hol_bound *. 1e3));
+      ("hol_cold_wall_s", J.Float hol_cold_wall);
+      ("hol_ok", J.Bool hol_ok);
+      ("slow_writers_ok", J.Bool slow_ok);
+      ("disconnects_ok", J.Bool disc_ok);
+      ("malformed_ok", J.Bool malformed_ok);
+      ("deadline_answered", J.Int deadline_answered);
+      ("deadline_timeouts", J.Int deadline_timeouts);
+      ("hammer_ok", J.Bool hammer_ok);
+      ("alive_after_fleet", J.Bool alive_after_fleet);
+      ("shed_probes", J.Int shed_probes);
+      ("shed_all_overloaded", J.Bool shed_all_ok);
+      ("shed_max_ms", J.Float shed_max_ms);
+      ("shed_bound_ms", J.Float shed_bound_ms);
+      ("shed_ok", J.Bool shed_ok);
+      ("restart_status", J.String restart_status);
+      ("restart_source", J.String restart_source);
+      ("restart_digest_ok", J.Bool restart_digest_ok);
+      ("tmp_planted", J.Int tmp_planted);
+      ("tmp_gc_swept", J.Int tmp_gc_swept);
+      ("drain_status", J.String drain_status);
+      ("drain_ok", J.Bool drain_ok);
+      ("contamination_free", J.Bool contamination_free);
+      ("survived", J.Bool survived);
+      ("counters", Harness.counters [ "store."; "serve." ]);
+    ];
+  (try Harness.rm_rf dir with Sys_error _ | Unix.Unix_error _ -> ());
   let fail = ref false in
   if not survived then begin
     Printf.printf

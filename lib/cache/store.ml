@@ -6,10 +6,11 @@ type t = {
   lock : Mutex.t;
 }
 
-(* 2: synthesis options grew the routing-engine field (flat A* core);
-   request digests over options are not comparable with version-1
-   entries, so the namespace retires them wholesale. *)
-let format_version = 2
+(* 3: synthesis options lost the [prune] field, which the serve
+   daemon's request keys digested, so a version-2 key names a different
+   input tuple; the namespace retires those entries wholesale.  (2: the
+   options grew the routing-engine field.) *)
+let format_version = 3
 
 let namespace ?(tag = "") () =
   Printf.sprintf "%d/ocaml-%s/%s" format_version Sys.ocaml_version tag

@@ -5,7 +5,6 @@ module Units = Noc_models.Units
 module Switch_model = Noc_models.Switch_model
 module Link_model = Noc_models.Link_model
 module Sync_model = Noc_models.Sync_model
-module Dijkstra = Noc_graph.Dijkstra
 module Astar = Noc_graph.Astar
 module Geometry = Noc_floorplan.Geometry
 module Metrics = Noc_exec.Metrics
@@ -44,21 +43,13 @@ let mask_union a b =
     dead_link = (fun u v -> a.dead_link u v || b.dead_link u v);
   }
 
-(* Which routing engine expands the search.  Both produce bit-identical
-   topologies, routes and stats; [Reference] is the plain per-search
-   Dijkstra kept as the identity baseline (and the honest "before" side
-   of the EXP-SCALE bench), [Flat] is the arena-reused A* over the flat
-   adjacency with the hop-cost floor heuristic and the allocation-free
-   hop kernel. *)
-type engine = Reference | Flat
+type engine = Flat
 
-(* Scratch cell for the flat engine's hop kernel.  An all-float record is
-   stored flat (fields unboxed), so writing results here costs no
-   allocation — unlike the (power, latency) tuple the reference kernel
-   returns per edge evaluation. *)
+(* Scratch cell the hop kernel writes into.  An all-float record is
+   stored flat (fields unboxed), so a kernel call allocates nothing. *)
 type hop_out = { mutable out_power : float; mutable out_latency : float }
 
-(* The hop-energy memo, laid out for the Dijkstra inner loop: directly
+(* The hop-energy memo, laid out for the search's inner loop: directly
    indexed slots — no hashing, no allocation — holding the
    flow-independent cost factors, each tagged with the inputs it was
    computed from (a slot whose tag no longer matches is recomputed and
@@ -77,7 +68,7 @@ type hop_cache = {
          far below 2^16, so the epoch field never aliases. *)
   wire_energy : float array;  (* energy_pj of the wire part of the hop *)
   wire_standing : float array; (* standing mW of opening the link *)
-  wire_latency : float array; (* hop latency in cycles, as Dijkstra uses it *)
+  wire_latency : float array; (* hop latency in cycles, as the search uses it *)
   sw_tag : int array;
       (* (memo_epoch lsl 20) lor packed ports, or -1 cold — per (is_new, v);
          the port packing is 20 bits by construction *)
@@ -146,11 +137,12 @@ let borrow_scratch n =
   sc
 
 (* Mutable routing state: port counters are maintained incrementally because
-   recounting them from the link table inside Dijkstra would be
+   recounting them from the link table inside the search would be
    quadratic. *)
 type state = {
   topo : Topology.t;
-  mask : mask;  (* switches/links Dijkstra must neither reuse nor open *)
+  n : int;  (* switch count: node ids of the search graph are [0, n) *)
+  mask : mask;  (* switches/links the search must neither reuse nor open *)
   max_arity : int array;   (* per switch *)
   in_ports : int array;
   out_ports : int array;
@@ -162,12 +154,12 @@ type state = {
   hop_cache : hop_cache option;
       (* direct-indexed (energy_pj, standing_mw) per (is_new, u, v) hop,
          tag-validated against the evolving (stages, ports) inputs — see
-         [hop_power_latency].  Local to this state (one domain), no lock. *)
+         [hop_kernel].  Local to this state (one domain), no lock. *)
   new_stages : int array option;
       (* pipeline stages of a prospective u->v link, encoded
          [(memo_epoch lsl 16) lor stages] ([-1] cold) — pure in
          the fixed geometry and u's clock, so one manhattan/stage model
-         evaluation per pair instead of one per Dijkstra probe. *)
+         evaluation per pair instead of one per search probe. *)
   memo_epoch : int;
       (* epoch baked into this state's [hop_cache]/[new_stages] tags: a
          pooled state inherits the scratch arrays without clearing them,
@@ -179,23 +171,21 @@ type state = {
          per lookup, never baked in, so states sharing these tables across
          a mask change ([route_backup]) stay correct. *)
   hop_hits : int ref;   (* flushed to Metrics in batch: the global counter *)
-  hop_misses : int ref; (* mutex must not be taken per Dijkstra edge *)
-  engine : engine;
+  hop_misses : int ref; (* mutex must not be taken per search edge *)
   arena : Astar.arena;
-      (* the flat engine's reusable search arena (dist/pred/heap scratch);
-         shared by design with the functional-update copies
-         [route_backup_with] makes — one domain, one search at a time *)
-  hop_out : hop_out;  (* the flat engine's hop kernel scratch cell *)
+      (* the reusable search arena (dist/pred/heap scratch); shared by
+         design with the functional-update copies [route_backup_with]
+         makes — one domain, one search at a time *)
+  hop_out : hop_out;  (* the hop kernel's scratch cell *)
   island : int array;
       (* per switch: its island id, or -1 for the intermediate VI.  Switch
-         locations are fixed for the lifetime of a topology, so the flat
-         expansion reads this flat copy instead of chasing
-         [switches.(s).location] per probe (no cross-module inlining
-         without flambda). *)
+         locations are fixed for the lifetime of a topology, so the
+         admissibility tests read this flat copy instead of chasing
+         [switches.(s).location] per probe. *)
 }
 
-let make_state ?(mask = no_mask) ?(cache = true) ?(engine = Flat)
-    ?(pooled = false) config topo ~clocks =
+let make_state ?(mask = no_mask) ?(cache = true) ?(pooled = false) config
+    topo ~clocks =
   let n = Array.length topo.Topology.switches in
   let inter = lazy (Freq_assign.intermediate_clock config clocks) in
   let arity_of sw =
@@ -213,16 +203,10 @@ let make_state ?(mask = no_mask) ?(cache = true) ?(engine = Flat)
       (fun sw -> sw.Topology.location = Topology.Intermediate)
       topo.Topology.switches
   in
-  (* The scratch pool serves the flat hot path.  The reference engine is
-     the identity oracle and the benchmark baseline: it keeps the
-     pre-refactor allocation pattern (fresh memo arrays per state, raw
-     epoch-0 tags) so what EXP-SCALE reports as "reference" is the
-     unoptimized path, and so the oracle stays trivially auditable. *)
-  let pooled_sc =
-    if cache && pooled && engine = Flat then Some (borrow_scratch n) else None
-  in
+  let pooled_sc = if cache && pooled then Some (borrow_scratch n) else None in
   {
     topo;
+    n;
     mask;
     max_arity = Array.map arity_of topo.Topology.switches;
     in_ports = Array.init n (fun sw -> Topology.in_ports topo sw);
@@ -264,7 +248,6 @@ let make_state ?(mask = no_mask) ?(cache = true) ?(engine = Flat)
     allowed_memo = (if cache then Some (Hashtbl.create 16) else None);
     hop_hits = ref 0;
     hop_misses = ref 0;
-    engine;
     arena =
       (match pooled_sc with Some sc -> sc.sc_arena | None -> Astar.create ());
     hop_out = { out_power = 0.0; out_latency = 0.0 };
@@ -287,43 +270,18 @@ let flush_hop_metrics state =
     state.hop_misses := 0
   end
 
-let is_intermediate state s =
-  state.topo.Topology.switches.(s).Topology.location = Topology.Intermediate
-
-(* While a direct switch is not yet connected to the intermediate VI, one
-   port per direction is held back for that connection: otherwise the
-   highest-bandwidth flows exhaust the crossbar on direct island-to-island
-   links and leave low-rate fan-out flows with no legal path at all. *)
-let out_reserve state u =
-  if state.has_indirect && (not (is_intermediate state u))
-     && not state.out_to_inter.(u)
-  then 1
-  else 0
-
-let in_reserve state v =
-  if state.has_indirect && (not (is_intermediate state v))
-     && not state.in_from_inter.(v)
-  then 1
-  else 0
-
-(* May a *new* link u->v be opened for a flow from island [si] to [di]?
-   This encodes the paper's shutdown-safe link rules. *)
-let may_open state ~si ~di u v =
-  let loc s = state.topo.Topology.switches.(s).Topology.location in
-  match (loc u, loc v) with
-  | Topology.Island a, Topology.Island b ->
-    a = b || (a = si && b = di)
-  | Topology.Island a, Topology.Intermediate -> a = si
-  | Topology.Intermediate, Topology.Island b -> b = di
-  | Topology.Intermediate, Topology.Intermediate -> true
+let is_intermediate state s = state.island.(s) < 0
 
 let node_allowed state ~si ~di s =
-  match state.topo.Topology.switches.(s).Topology.location with
-  | Topology.Island a -> a = si || a = di
-  | Topology.Intermediate -> true
+  let a = state.island.(s) in
+  a < 0 || a = si || a = di
 
-let link_capacity state u v =
-  Float.min state.capacity.(u) state.capacity.(v)
+(* Usable bandwidth of link u->v: the slower end's.  Capacities are
+   positive and finite, so this is [Float.min] without its NaN and
+   signed-zero cases. *)
+let[@inline] link_capacity state u v =
+  let cap_u = state.capacity.(u) and cap_v = state.capacity.(v) in
+  if cap_u <= cap_v then cap_u else cap_v
 
 let hop_latency_cycles ~crossing ~stages =
   Switch_model.pipeline_latency_cycles + Link_model.traversal_cycles + stages
@@ -412,104 +370,6 @@ let hop_wire_energy_standing config state ~is_new ~stages u v =
   in
   (e_link +. e_sync +. e_registers +. e_open, standing)
 
-(* Flow-independent factors of a hop's cost: the energy a flit spends on
-   hop u->v (entering switch v), and the standing power of opening the
-   link.  Summed switch-part-first so the memoized recomposition in
-   [hop_power_latency] rounds identically. *)
-let hop_energy_standing config state ~is_new ~stages u v =
-  let e_switch = hop_switch_energy_pj config state ~is_new v in
-  let e_wire, standing =
-    hop_wire_energy_standing config state ~is_new ~stages u v
-  in
-  (e_switch +. e_wire, standing)
-
-(* Packed (in_ports v, out_ports v) — everything the switch-traversal
-   cost reads that can drift as routing opens links.  [-1] (an oversized
-   field) falls back to direct computation, so packing limits can never
-   produce a wrong hit. *)
-let switch_tag_of state v =
-  let in_v = state.in_ports.(v) and out_v = state.out_ports.(v) in
-  if in_v >= 0 && in_v < 1024 && out_v >= 0 && out_v < 1024 then
-    (in_v lsl 10) lor out_v
-  else -1
-
-(* Power increase of pushing the flow through hop u->v (entering switch v),
-   in mW; [is_new] adds the opening bias and, for crossings, the leakage of
-   the converter that would be instantiated.
-
-   This is the synthesis hot spot (~1.5M evaluations per d36 sweep), so
-   the flow-independent factors are memoized per routing state in directly
-   indexed arrays — the wire slot per (is_new, u, v) validated against
-   [stages], the switch slot per (is_new, v) against the live port counts
-   — so a lookup neither hashes nor allocates.
-   The flow only enters through the flit rate, and
-   [Units.power_mw_of_energy ~energy_pj ~events_per_second] is linear in
-   the rate, so caching the exact (energy_pj, standing_mw) pair and
-   recomposing through the same call keeps cached and uncached results
-   bit-identical. *)
-let hop_power_latency config state flow ~is_new ~stages u v =
-  let rate =
-    Units.flits_per_second ~bw_mbps:flow.Flow.bandwidth_mbps
-      ~flit_bits:state.topo.Topology.flit_bits
-  in
-  let direct () =
-    let energy_pj, standing =
-      hop_energy_standing config state ~is_new ~stages u v
-    in
-    let crossing = Topology.is_crossing state.topo u v in
-    (energy_pj, standing, float_of_int (hop_latency_cycles ~crossing ~stages))
-  in
-  let energy_pj, standing, latency =
-    match state.hop_cache with
-    | None -> direct ()
-    | Some hc ->
-      let sw_tag = switch_tag_of state v in
-      if sw_tag < 0 then direct ()
-      else begin
-        let n = Array.length state.topo.Topology.switches in
-        let widx = ((((if is_new then 1 else 0) * n) + u) * n) + v in
-        let sidx = (if is_new then n else 0) + v in
-        let wire_etag = (state.memo_epoch lsl 16) lor stages in
-        let sw_etag = (state.memo_epoch lsl 20) lor sw_tag in
-        let e_wire, standing, latency =
-          if hc.wire_tag.(widx) = wire_etag then begin
-            incr state.hop_hits;
-            ( hc.wire_energy.(widx),
-              hc.wire_standing.(widx),
-              hc.wire_latency.(widx) )
-          end
-          else begin
-            incr state.hop_misses;
-            let e_wire, standing =
-              hop_wire_energy_standing config state ~is_new ~stages u v
-            in
-            let crossing = Topology.is_crossing state.topo u v in
-            let latency =
-              float_of_int (hop_latency_cycles ~crossing ~stages)
-            in
-            hc.wire_tag.(widx) <- wire_etag;
-            hc.wire_energy.(widx) <- e_wire;
-            hc.wire_standing.(widx) <- standing;
-            hc.wire_latency.(widx) <- latency;
-            (e_wire, standing, latency)
-          end
-        in
-        let e_switch =
-          if hc.sw_tag.(sidx) = sw_etag then hc.sw_energy.(sidx)
-          else begin
-            let e = hop_switch_energy_pj config state ~is_new v in
-            hc.sw_tag.(sidx) <- sw_etag;
-            hc.sw_energy.(sidx) <- e;
-            e
-          end
-        in
-        (* same association as [hop_energy_standing]: switch part first *)
-        (e_switch +. e_wire, standing, latency)
-      end
-  in
-  (Units.power_mw_of_energy ~energy_pj ~events_per_second:rate +. standing,
-   latency)
-
 (* Normalization so the beta mix is dimensionless: a "typical" hop is a 5x5
    switch plus 2 mm of wire at nominal supply. *)
 let reference_hop_power_mw config topo flow =
@@ -538,10 +398,9 @@ let reference_hop_power_mw config topo flow =
    memoizing per state (fault masks are deliberately NOT baked in: a
    [route_backup] state shares these tables across a mask change). *)
 let compute_allowed state ~si ~di =
-  let n = Array.length state.topo.Topology.switches in
-  let buf = Array.make n 0 in
+  let buf = Array.make state.n 0 in
   let count = ref 0 in
-  for v = 0 to n - 1 do
+  for v = 0 to state.n - 1 do
     if node_allowed state ~si ~di v then begin
       buf.(!count) <- v;
       incr count
@@ -561,300 +420,194 @@ let allowed_nodes state ~si ~di =
        Some nodes)
   | Some _ | None -> None
 
-(* Pipeline stages of a prospective u->v link, through [state.new_stages]
-   when memoization is on. *)
-let new_link_stages config state u v =
-  let compute () =
-    let topo = state.topo in
-    let sw_u = topo.Topology.switches.(u) in
-    let sw_v = topo.Topology.switches.(v) in
-    let length =
-      Geometry.manhattan sw_u.Topology.position sw_v.Topology.position
-    in
-    stages_needed config sw_u ~length_mm:length
-  in
+(* ---------- the hop kernel ---------- *)
+
+(* Each helper below marked [@inline] is written once and inlined into
+   both callers, the expansion [successors_iter_flat] and the A* floor
+   [target_floor].  The build has no flambda; closure-mode ocamlopt
+   honours [@inline] only when the body holds no local closure, no
+   [let rec] and no optional argument, so the rare paths (memo misses,
+   the memo-off computation) are separate out-of-line functions. *)
+
+(* Pipeline stages of a prospective u->v link. *)
+let new_link_stages_direct config state u v =
+  let sw_u = state.topo.Topology.switches.(u) in
+  let sw_v = state.topo.Topology.switches.(v) in
+  let length = Geometry.manhattan sw_u.Topology.position sw_v.Topology.position in
+  stages_needed config sw_u ~length_mm:length
+
+let new_link_stages_miss config state arr idx u v =
+  let fresh = new_link_stages_direct config state u v in
+  if fresh land 0xFFFF = fresh then
+    arr.(idx) <- (state.memo_epoch lsl 16) lor fresh;
+  fresh
+
+(* [new_link_stages_direct] through the [new_stages] memo when it is on:
+   an entry is live iff its high bits carry this state's epoch. *)
+let[@inline] new_link_stages config state u v =
   match state.new_stages with
-  | None -> compute ()
+  | None -> new_link_stages_direct config state u v
   | Some arr ->
-    let idx = (u * Array.length state.topo.Topology.switches) + v in
-    let cached = arr.(idx) in
-    (* entries are [(memo_epoch lsl 16) lor stages]; an epoch mismatch is a
-       stale (or cold, for epoch 0 with -1 fill) slot *)
-    if cached asr 16 = state.memo_epoch && cached >= 0 then cached land 0xFFFF
-    else begin
-      let fresh = compute () in
-      if fresh land 0xFFFF = fresh then
-        arr.(idx) <- (state.memo_epoch lsl 16) lor fresh;
-      fresh
-    end
+    let idx = (u * state.n) + v in
+    let c = arr.(idx) in
+    if c asr 16 = state.memo_epoch && c >= 0 then c land 0xFFFF
+    else new_link_stages_miss config state arr idx u v
 
-(* [p_norm] is [reference_hop_power_mw] for this flow — constant across
-   one Dijkstra run, so callers hoist it out of the per-node expansion.
-   Push-iterator shape ({!Dijkstra.run_to_iter}): calls [relax v cost] per
-   admissible edge instead of building a list per expansion. *)
-let successors_iter config state flow ~si ~di ~beta ~p_norm ~allowed u relax =
-  let topo = state.topo in
-  let n = Array.length topo.Topology.switches in
-  let lat_norm = float_of_int flow.Flow.max_latency_cycles in
-  let consider v =
-    if
-      v <> u
-      && (not (state.mask.dead_switch v))
-      && (not (state.mask.dead_link u v))
-    then begin
-      (* one link lookup decides admissibility AND the pipeline stages *)
-      let candidate =
-        match Topology.find_link topo ~src:u ~dst:v with
-        | Some link ->
-          if
-            link.Topology.bw_mbps +. flow.Flow.bandwidth_mbps
-            <= link_capacity state u v +. 1e-9
-          then Some (false, link.Topology.stages)
-          else None
-        | None ->
-          (* links touching the intermediate VI may consume the reserved
-             port — they are what it is reserved for *)
-          let out_cap =
-            state.max_arity.(u)
-            - if is_intermediate state v then 0 else out_reserve state u
-          in
-          let in_cap =
-            state.max_arity.(v)
-            - if is_intermediate state u then 0 else in_reserve state v
-          in
-          if
-            may_open state ~si ~di u v
-            && state.out_ports.(u) + 1 <= out_cap
-            && state.in_ports.(v) + 1 <= in_cap
-            && flow.Flow.bandwidth_mbps <= link_capacity state u v +. 1e-9
-          then Some (true, new_link_stages config state u v)
-          else None
-      in
-      match candidate with
-      | None -> ()
-      | Some (is_new, stages) ->
-        let power, latency =
-          hop_power_latency config state flow ~is_new ~stages u v
-        in
-        let cost =
-          (beta *. (power /. p_norm))
-          +. ((1.0 -. beta) *. (latency /. lat_norm))
-        in
-        (* strictly positive costs keep Dijkstra's invariants honest *)
-        relax v (Float.max 1e-9 cost)
-    end
-  in
-  (* Both walks visit the same admissible nodes in the same order, so
-     Dijkstra's tie-breaking — and every route — is identical with the
-     memo on or off.  (Descending, matching the consed successor lists of
-     earlier revisions, so routes stay stable across the refactor.) *)
-  match allowed with
-  | Some nodes ->
-    for i = Array.length nodes - 1 downto 0 do
-      consider nodes.(i)
-    done
-  | None ->
-    for v = n - 1 downto 0 do
-      if node_allowed state ~si ~di v then consider v
-    done
-
-(* ---------- the flat engine's hot path ---------- *)
-
-(* The flat engine's hop kernel: the same memo slots and the same float
-   recomposition order — [e_switch +. e_wire], then
-   [power_mw_of_energy ... +. standing] — as [hop_power_latency], so
-   every cost is bit-identical; but the flit rate is hoisted to one
-   computation per search and the results land in the state's scratch
-   cell instead of a fresh tuple.  Keep the two kernels in lockstep —
-   and note that [successors_iter_flat] and [target_floor] unfold this
-   kernel's all-hit fast path inline (same tags, same recomposition), so
-   a change here must be mirrored there too. *)
-let hop_direct_flat config state ~rate ~is_new ~stages u v out =
-  let energy_pj, standing =
-    hop_energy_standing config state ~is_new ~stages u v
+(* The kernel with no usable memo slot: the flow-independent factors
+   computed afresh, then recomposed exactly as the memo path below does —
+   switch part first, then the rate, then the standing power. *)
+let hop_direct config state ~rate ~is_new ~stages u v out =
+  let e_switch = hop_switch_energy_pj config state ~is_new v in
+  let e_wire, standing =
+    hop_wire_energy_standing config state ~is_new ~stages u v
   in
   let crossing = Topology.is_crossing state.topo u v in
   out.out_power <-
-    Units.power_mw_of_energy ~energy_pj ~events_per_second:rate +. standing;
+    Units.power_mw_of_energy ~energy_pj:(e_switch +. e_wire)
+      ~events_per_second:rate
+    +. standing;
   out.out_latency <- float_of_int (hop_latency_cycles ~crossing ~stages)
 
-let hop_power_latency_flat config state ~rate ~is_new ~stages u v out =
+(* Recompute and store the wire slot [widx] of hop u->v. *)
+let hop_wire_miss config state hc ~is_new ~stages ~tag u v widx =
+  incr state.hop_misses;
+  let e_wire, standing =
+    hop_wire_energy_standing config state ~is_new ~stages u v
+  in
+  let crossing = Topology.is_crossing state.topo u v in
+  hc.wire_tag.(widx) <- tag;
+  hc.wire_energy.(widx) <- e_wire;
+  hc.wire_standing.(widx) <- standing;
+  hc.wire_latency.(widx) <- float_of_int (hop_latency_cycles ~crossing ~stages)
+
+(* The hop kernel: the power increase (mW) and latency (cycles) of pushing
+   a flow of [rate] flits/s through hop u->v, entering switch v, written to
+   [out]; [is_new] adds the opening bias and, for crossings, the leakage
+   of the converter that would be instantiated.
+
+   This is the synthesis hot spot (~1.5M evaluations per d36 sweep), so
+   the flow-independent factors are memoized per routing state in directly
+   indexed arrays — the wire slot per (is_new, u, v) validated against
+   [stages], the switch slot per (is_new, v) against the live port counts
+   — so a lookup neither hashes nor allocates.  Port counts that do not
+   fit the 10-bit tag fields fall back to [hop_direct], so packing limits
+   can never produce a wrong hit.  The flow only enters through the flit
+   rate, and [Units.power_mw_of_energy] is linear in the rate, so caching
+   the exact (energy_pj, standing_mw) pair and recomposing through the
+   same expression keeps memo-on and memo-off costs bit-identical. *)
+let[@inline] hop_kernel config state ~rate ~is_new ~stages u v out =
   match state.hop_cache with
-  | None -> hop_direct_flat config state ~rate ~is_new ~stages u v out
+  | None -> hop_direct config state ~rate ~is_new ~stages u v out
   | Some hc ->
-    let sw_tag = switch_tag_of state v in
-    if sw_tag < 0 then hop_direct_flat config state ~rate ~is_new ~stages u v out
+    let in_v = state.in_ports.(v) and out_v = state.out_ports.(v) in
+    if in_v < 0 || in_v >= 1024 || out_v < 0 || out_v >= 1024 then
+      hop_direct config state ~rate ~is_new ~stages u v out
     else begin
-      let n = Array.length state.topo.Topology.switches in
+      let n = state.n in
       let widx = ((((if is_new then 1 else 0) * n) + u) * n) + v in
       let sidx = (if is_new then n else 0) + v in
-      let wire_etag = (state.memo_epoch lsl 16) lor stages in
-      let sw_etag = (state.memo_epoch lsl 20) lor sw_tag in
-      if hc.wire_tag.(widx) = wire_etag then incr state.hop_hits
-      else begin
-        incr state.hop_misses;
-        let e_wire, standing =
-          hop_wire_energy_standing config state ~is_new ~stages u v
-        in
-        let crossing = Topology.is_crossing state.topo u v in
-        hc.wire_tag.(widx) <- wire_etag;
-        hc.wire_energy.(widx) <- e_wire;
-        hc.wire_standing.(widx) <- standing;
-        hc.wire_latency.(widx) <-
-          float_of_int (hop_latency_cycles ~crossing ~stages)
-      end;
-      if hc.sw_tag.(sidx) <> sw_etag then begin
-        hc.sw_tag.(sidx) <- sw_etag;
+      let wire_tag = (state.memo_epoch lsl 16) lor stages in
+      if hc.wire_tag.(widx) = wire_tag then incr state.hop_hits
+      else hop_wire_miss config state hc ~is_new ~stages ~tag:wire_tag u v widx;
+      (* the switch part drifts with v's ports: refresh it in place *)
+      let sw_tag = (state.memo_epoch lsl 20) lor (in_v lsl 10) lor out_v in
+      if hc.sw_tag.(sidx) <> sw_tag then begin
+        hc.sw_tag.(sidx) <- sw_tag;
         hc.sw_energy.(sidx) <- hop_switch_energy_pj config state ~is_new v
       end;
-      (* same association as [hop_energy_standing]: switch part first *)
+      (* [hop_direct]'s association, then
+         [Units.power_mw_of_energy ~energy_pj ~events_per_second:rate] *)
       let energy_pj = hc.sw_energy.(sidx) +. hc.wire_energy.(widx) in
-      out.out_power <-
-        Units.power_mw_of_energy ~energy_pj ~events_per_second:rate
-        +. hc.wire_standing.(widx);
+      out.out_power <- (energy_pj *. rate *. 1e-9) +. hc.wire_standing.(widx);
       out.out_latency <- hc.wire_latency.(widx)
     end
 
-(* Flat-engine expansion: the same admissible edges, in the same
-   descending order, at bit-identical costs as [successors_iter] — with
-   the per-edge allocations gone.  The link probe returns the stored
-   option cell of the flat adjacency, the (is_new, stages) candidate
-   tuple is replaced by direct control flow, and the hop kernel writes
-   into the scratch cell.
-
-   The compiler builds without flambda, so the small per-probe helpers
-   ([is_intermediate], [out_reserve]/[in_reserve], [may_open],
-   [link_capacity], [Units.power_mw_of_energy], [Float.max]) cost a call
-   each here — profiling puts them at ~20% of a sweep.  They are
-   therefore inlined by hand below, per-[u] invariants hoisted out of the
-   per-candidate probes, with every float expression kept in the exact
-   shape the helpers use.  Any admissibility or cost change here must be
-   mirrored in [successors_iter] and [target_floor]. *)
-let successors_iter_flat config state flow ~si ~di ~beta ~p_norm ~allowed =
-  let topo = state.topo in
-  let links = topo.Topology.links in
-  let n = Array.length topo.Topology.switches in
-  let lat_norm = float_of_int flow.Flow.max_latency_cycles in
-  let bw = flow.Flow.bandwidth_mbps in
-  let rate = Units.flits_per_second ~bw_mbps:bw ~flit_bits:topo.Topology.flit_bits in
+(* The relax weight of hop u->v: the [beta] mix of the kernel's power
+   and latency, each normalized ([p_norm] is [reference_hop_power_mw] of
+   the flow, [lat_norm] its latency budget), floored at 1e-9 so every
+   edge is strictly positive.  ([Float.max 1e-9 cost] for the never-NaN
+   [cost].) *)
+let[@inline] hop_weight config state ~rate ~beta ~p_norm ~lat_norm ~is_new
+    ~stages u v =
   let out = state.hop_out in
-  let hc_opt = state.hop_cache in
+  hop_kernel config state ~rate ~is_new ~stages u v out;
+  let cost =
+    (beta *. (out.out_power /. p_norm))
+    +. ((1.0 -. beta) *. (out.out_latency /. lat_norm))
+  in
+  if cost > 1e-9 then cost else 1e-9
+
+(* May a flow of [bw] MB/s reuse the existing link u->v? *)
+let[@inline] may_reuse state ~bw link u v =
+  link.Topology.bw_mbps +. bw <= link_capacity state u v +. 1e-9
+
+(* May a flow of [bw] MB/s from island [si] to island [di] open a new
+   link u->v?  First the paper's shutdown-safe opening rule, over the
+   island ids ([-1] is the always-on intermediate VI): a new link stays
+   inside one island, goes straight from [si] to [di], leaves [si] for
+   the intermediate VI, enters [di] from it, or stays inside it — never
+   through a third, shutdownable island.  Then the port budgets: while a
+   direct switch has no link to (from) the intermediate VI yet, one of its
+   output (input) ports is held back for that link — otherwise the
+   highest-bandwidth flows exhaust the crossbar on direct island-to-island
+   links and leave low-rate fan-out flows with no legal path at all — and
+   a link touching the intermediate VI may take the held port, since that
+   is what it is held for.  Last, the new link's capacity. *)
+let[@inline] may_open state ~si ~di ~bw u v =
+  let isl_u = state.island.(u) and isl_v = state.island.(v) in
+  (if isl_u >= 0 then
+     if isl_v < 0 then isl_u = si
+     else isl_u = isl_v || (isl_u = si && isl_v = di)
+   else isl_v < 0 || isl_v = di)
+  && (let held = state.has_indirect && isl_u >= 0 && isl_v >= 0 in
+      state.out_ports.(u) + 1
+      <= state.max_arity.(u)
+         - (if held && not state.out_to_inter.(u) then 1 else 0)
+      && state.in_ports.(v) + 1
+         <= state.max_arity.(v)
+            - (if held && not state.in_from_inter.(v) then 1 else 0))
+  && bw <= link_capacity state u v +. 1e-9
+
+(* The expansion A* runs: [relax v w] for every admissible hop out of
+   [u], at the kernel's weight.  Admissible nodes are visited in
+   descending id order — the order of the consed successor lists of
+   earlier revisions, so routes stay stable — with or without the memo.
+   Everything before [fun u relax ->] runs once per search; A* applies
+   only the returned expansion per settled node. *)
+let successors_iter_flat config state flow ~si ~di ~beta ~p_norm ~allowed =
+  let links = state.topo.Topology.links in
+  let bw = flow.Flow.bandwidth_mbps in
+  let rate =
+    Units.flits_per_second ~bw_mbps:bw ~flit_bits:state.topo.Topology.flit_bits
+  in
+  let lat_norm = float_of_int flow.Flow.max_latency_cycles in
   (* [no_mask]'s probes are constant [false]; skip the two indirect calls
      per candidate on the (overwhelmingly common) unmasked states *)
   let unmasked = state.mask == no_mask in
-  let dead_switch = state.mask.dead_switch and dead_link = state.mask.dead_link in
-  let island = state.island in
-  let in_ports = state.in_ports and out_ports = state.out_ports in
-  let capacity = state.capacity and max_arity = state.max_arity in
-  let in_from_inter = state.in_from_inter in
-  let has_indirect = state.has_indirect in
-  let new_stages = state.new_stages in
-  (* epoch-encoded tag bases ([hop_cache] / [new_stages] docs) *)
-  let epoch = state.memo_epoch in
-  let wire_ebase = epoch lsl 16 and sw_ebase = epoch lsl 20 in
-  (* [relax_hop] carries its full parameter list so it is a flow-level
-     value: no closure is re-allocated per expanded node.  Everything up
-     to the [fun u relax ->] below likewise runs once per search — the
-     engine fully applies only the returned expansion per settled node. *)
+  (* [relax_hop] carries its full parameter list so it is a per-search
+     value: no closure is re-allocated per expanded node *)
   let relax_hop u v ~is_new ~stages relax =
-    (* the all-hit fast path of [hop_power_latency_flat], unfolded — any
-       cold or stale tag falls through to the full kernel, which keeps
-       the memo and the hit/miss counters exactly as before *)
-    (match hc_opt with
-     | Some hc ->
-       let in_v = in_ports.(v) and out_v = out_ports.(v) in
-       if in_v >= 0 && in_v < 1024 && out_v >= 0 && out_v < 1024 then begin
-         let sw_etag = sw_ebase lor ((in_v lsl 10) lor out_v) in
-         let widx = ((((if is_new then 1 else 0) * n) + u) * n) + v in
-         let sidx = (if is_new then n else 0) + v in
-         if hc.wire_tag.(widx) = wire_ebase lor stages then begin
-           (* the wire part hit; refresh the (cheap, port-drifting)
-              switch part in place exactly as the kernel would *)
-           if hc.sw_tag.(sidx) <> sw_etag then begin
-             hc.sw_tag.(sidx) <- sw_etag;
-             hc.sw_energy.(sidx) <- hop_switch_energy_pj config state ~is_new v
-           end;
-           incr state.hop_hits;
-           (* [hop_energy_standing]'s association, then
-              [Units.power_mw_of_energy ... +. standing] *)
-           let energy_pj = hc.sw_energy.(sidx) +. hc.wire_energy.(widx) in
-           out.out_power <-
-             (energy_pj *. rate *. 1e-9) +. hc.wire_standing.(widx);
-           out.out_latency <- hc.wire_latency.(widx)
-         end
-         else hop_power_latency_flat config state ~rate ~is_new ~stages u v out
-       end
-       else hop_power_latency_flat config state ~rate ~is_new ~stages u v out
-     | None -> hop_power_latency_flat config state ~rate ~is_new ~stages u v out);
-    let cost =
-      (beta *. (out.out_power /. p_norm))
-      +. ((1.0 -. beta) *. (out.out_latency /. lat_norm))
-    in
-    (* [Float.max 1e-9 cost] for a non-NaN [cost] *)
-    relax v (if cost > 1e-9 then cost else 1e-9)
+    relax v
+      (hop_weight config state ~rate ~beta ~p_norm ~lat_norm ~is_new ~stages
+         u v)
   in
   fun u relax ->
-    (* invariants of the expanded node [u], hoisted out of the probes *)
     let row_u = Noc_graph.Flat.out_row links u in
-    let isl_u = island.(u) in
-    let cap_u = capacity.(u) in
-    let max_ar_u = max_arity.(u) in
-    let out_ports_u1 = out_ports.(u) + 1 in
-    let out_res_u =
-      (* [out_reserve state u], unfolded *)
-      if has_indirect && isl_u >= 0 && not state.out_to_inter.(u) then 1 else 0
-    in
     let consider v =
       if
         v <> u
-        && (unmasked || ((not (dead_switch v)) && not (dead_link u v)))
-      then begin
+        && (unmasked
+           || ((not (state.mask.dead_switch v)) && not (state.mask.dead_link u v)))
+      then
         match (match row_u with None -> None | Some row -> row.(v)) with
         | Some link ->
-          (* [link_capacity state u v], unfolded: both are positive finite *)
-          let cap_v = capacity.(v) in
-          let cap = if cap_u <= cap_v then cap_u else cap_v in
-          if link.Topology.bw_mbps +. bw <= cap +. 1e-9 then
+          if may_reuse state ~bw link u v then
             relax_hop u v ~is_new:false ~stages:link.Topology.stages relax
         | None ->
-          let isl_v = island.(v) in
-          let out_cap = max_ar_u - (if isl_v < 0 then 0 else out_res_u) in
-          if out_ports_u1 <= out_cap then begin
-            (* [may_open state ~si ~di u v], unfolded over the island ids *)
-            let may =
-              if isl_u >= 0 then
-                if isl_v < 0 then isl_u = si
-                else isl_u = isl_v || (isl_u = si && isl_v = di)
-              else isl_v < 0 || isl_v = di
-            in
-            if may then begin
-              let in_cap =
-                max_arity.(v)
-                - (if isl_u >= 0 && has_indirect && isl_v >= 0
-                      && not in_from_inter.(v)
-                   then 1
-                   else 0)
-              in
-              if in_ports.(v) + 1 <= in_cap then begin
-                let cap_v = capacity.(v) in
-                let cap = if cap_u <= cap_v then cap_u else cap_v in
-                if bw <= cap +. 1e-9 then begin
-                  (* warm probe of the [new_link_stages] memo, unfolded:
-                     an entry is live iff its high bits carry this epoch *)
-                  let stages =
-                    match new_stages with
-                    | Some arr ->
-                      let c = arr.((u * n) + v) in
-                      if c asr 16 = epoch && c >= 0 then c land 0xFFFF
-                      else new_link_stages config state u v
-                    | None -> new_link_stages config state u v
-                  in
-                  relax_hop u v ~is_new:true ~stages relax
-                end
-              end
-            end
-          end
-      end
+          if may_open state ~si ~di ~bw u v then
+            relax_hop u v ~is_new:true
+              ~stages:(new_link_stages config state u v)
+              relax
     in
     match allowed with
     | Some nodes ->
@@ -862,163 +615,71 @@ let successors_iter_flat config state flow ~si ~di ~beta ~p_norm ~allowed =
         consider nodes.(i)
       done
     | None ->
-      for v = n - 1 downto 0 do
-        let a = island.(v) in
-        if a < 0 || a = si || a = di then consider v
+      for v = state.n - 1 downto 0 do
+        if node_allowed state ~si ~di v then consider v
       done
 
-(* The A* heuristic's constant: the exact float minimum relax cost over
-   the admissible edges entering [target], computed with the very same
-   kernel, admissibility tests and cost expression as the expansion.
-   During one search the routing state is immutable, so this set — and
-   each edge's cost — is fixed; h(v) = floor for v <> target and
-   h(target) = 0 is therefore consistent, and with the heap's (f, g, id)
-   ordering A* pops non-target nodes in exactly Dijkstra's (g, id) order
-   (see docs/ALGORITHM.md for the identity argument).  [infinity] when no
-   edge can enter the target: every f is then infinite, the g tie-key
-   alone orders the pops exactly as Dijkstra would, and the search proves
-   unreachability the same way. *)
+(* The A* heuristic's constant: the exact float minimum relax weight over
+   the admissible hops entering [target], from the same kernel,
+   admissibility tests and weight as the expansion.  During one search
+   the routing state is immutable, so this set — and each hop's weight —
+   is fixed; h(v) = floor for v <> target and h(target) = 0 is therefore
+   consistent, and with the heap's (f, g, id) ordering A* pops non-target
+   nodes in exactly Dijkstra's (g, id) order (see docs/ALGORITHM.md for
+   the identity argument).  [infinity] when no hop can enter the target:
+   every f is then infinite, the g tie-key alone orders the pops exactly
+   as Dijkstra would, and the search proves unreachability the same
+   way. *)
 let target_floor config state flow ~si ~di ~beta ~p_norm ~allowed ~target =
-  let topo = state.topo in
-  let links = topo.Topology.links in
-  let n = Array.length topo.Topology.switches in
-  let lat_norm = float_of_int flow.Flow.max_latency_cycles in
+  let links = state.topo.Topology.links in
   let bw = flow.Flow.bandwidth_mbps in
-  let rate = Units.flits_per_second ~bw_mbps:bw ~flit_bits:topo.Topology.flit_bits in
-  let out = state.hop_out in
-  let hc_opt = state.hop_cache in
-  let unmasked = state.mask == no_mask in
-  let dead_switch = state.mask.dead_switch and dead_link = state.mask.dead_link in
-  let island = state.island in
-  let in_ports = state.in_ports and out_ports = state.out_ports in
-  let capacity = state.capacity and max_arity = state.max_arity in
-  let out_to_inter = state.out_to_inter in
-  let has_indirect = state.has_indirect in
-  let new_stages = state.new_stages in
-  let epoch = state.memo_epoch in
-  let wire_ebase = epoch lsl 16 and sw_ebase = epoch lsl 20 in
-  (* invariants of the fixed [target] endpoint, hoisted out of the scan;
-     the per-probe helpers are unfolded exactly as in
-     [successors_iter_flat] — keep the three sites in lockstep *)
-  let isl_t = island.(target) in
-  let cap_t = capacity.(target) in
-  let in_ports_t1 = in_ports.(target) + 1 in
-  let in_res_t =
-    (* [in_reserve state target], unfolded *)
-    if has_indirect && isl_t >= 0 && not state.in_from_inter.(target) then 1
-    else 0
+  let rate =
+    Units.flits_per_second ~bw_mbps:bw ~flit_bits:state.topo.Topology.flit_bits
   in
+  let lat_norm = float_of_int flow.Flow.max_latency_cycles in
+  let unmasked = state.mask == no_mask in
   let best = ref infinity in
   let score u ~is_new ~stages =
-    (* all-hit fast path of [hop_power_latency_flat] with v = [target] *)
-    (match hc_opt with
-     | Some hc ->
-       let in_v = in_ports.(target) and out_v = out_ports.(target) in
-       if in_v >= 0 && in_v < 1024 && out_v >= 0 && out_v < 1024 then begin
-         let sw_etag = sw_ebase lor ((in_v lsl 10) lor out_v) in
-         let widx = ((((if is_new then 1 else 0) * n) + u) * n) + target in
-         let sidx = (if is_new then n else 0) + target in
-         if hc.wire_tag.(widx) = wire_ebase lor stages then begin
-           if hc.sw_tag.(sidx) <> sw_etag then begin
-             hc.sw_tag.(sidx) <- sw_etag;
-             hc.sw_energy.(sidx) <-
-               hop_switch_energy_pj config state ~is_new target
-           end;
-           incr state.hop_hits;
-           let energy_pj = hc.sw_energy.(sidx) +. hc.wire_energy.(widx) in
-           out.out_power <-
-             (energy_pj *. rate *. 1e-9) +. hc.wire_standing.(widx);
-           out.out_latency <- hc.wire_latency.(widx)
-         end
-         else
-           hop_power_latency_flat config state ~rate ~is_new ~stages u target
-             out
-       end
-       else
-         hop_power_latency_flat config state ~rate ~is_new ~stages u target out
-     | None ->
-       hop_power_latency_flat config state ~rate ~is_new ~stages u target out);
-    let cost =
-      (beta *. (out.out_power /. p_norm))
-      +. ((1.0 -. beta) *. (out.out_latency /. lat_norm))
+    let w =
+      hop_weight config state ~rate ~beta ~p_norm ~lat_norm ~is_new ~stages u
+        target
     in
-    let w = if cost > 1e-9 then cost else 1e-9 in
     if w < !best then best := w
   in
   let consider u =
     if
       u <> target
-      && (unmasked || ((not (dead_switch u)) && not (dead_link u target)))
-    then begin
+      && (unmasked
+         || ((not (state.mask.dead_switch u))
+            && not (state.mask.dead_link u target)))
+    then
       match Noc_graph.Flat.get links u target with
       | Some link ->
-        let cap_u = capacity.(u) in
-        let cap = if cap_u <= cap_t then cap_u else cap_t in
-        if link.Topology.bw_mbps +. bw <= cap +. 1e-9 then
+        if may_reuse state ~bw link u target then
           score u ~is_new:false ~stages:link.Topology.stages
       | None ->
-        let isl_u = island.(u) in
-        let out_cap =
-          max_arity.(u)
-          - (if isl_t < 0 then 0
-             else if has_indirect && isl_u >= 0 && not out_to_inter.(u) then 1
-             else 0)
-        in
-        if out_ports.(u) + 1 <= out_cap then begin
-          let may =
-            if isl_u >= 0 then
-              if isl_t < 0 then isl_u = si
-              else isl_u = isl_t || (isl_u = si && isl_t = di)
-            else isl_t < 0 || isl_t = di
-          in
-          if may && in_ports_t1 <= (max_arity.(target) - (if isl_u < 0 then 0 else in_res_t))
-          then begin
-            let cap_u = capacity.(u) in
-            let cap = if cap_u <= cap_t then cap_u else cap_t in
-            if bw <= cap +. 1e-9 then begin
-              let stages =
-                match new_stages with
-                | Some arr ->
-                  let c = arr.((u * n) + target) in
-                  if c asr 16 = epoch && c >= 0 then c land 0xFFFF
-                  else new_link_stages config state u target
-                | None -> new_link_stages config state u target
-              in
-              score u ~is_new:true ~stages
-            end
-          end
-        end
-    end
+        if may_open state ~si ~di ~bw u target then
+          score u ~is_new:true ~stages:(new_link_stages config state u target)
   in
   (match allowed with
   | Some nodes -> Array.iter consider nodes
   | None ->
-    for u = 0 to n - 1 do
-      let a = island.(u) in
-      if a < 0 || a = si || a = di then consider u
+    for u = 0 to state.n - 1 do
+      if node_allowed state ~si ~di u then consider u
     done);
   !best
 
-(* One search, dispatched on the state's engine.  Both sides expand the
-   same edges at the same costs; the flat side adds the floor heuristic
-   and reuses the arena. *)
+(* One least-cost search (Algorithm 1, step 15): A* from [source] to
+   [target] over the admissible hops, with the target floor as its
+   constant heuristic, in the state's reusable arena. *)
 let shortest_path config state flow ~si ~di ~beta ~p_norm ~allowed ~source
     ~target =
-  let n = Array.length state.topo.Topology.switches in
-  match state.engine with
-  | Reference ->
-    Dijkstra.run_to_iter ~n
-      ~successors_iter:
-        (successors_iter config state flow ~si ~di ~beta ~p_norm ~allowed)
-      ~source ~target
-  | Flat ->
-    let floor =
-      target_floor config state flow ~si ~di ~beta ~p_norm ~allowed ~target
-    in
-    Astar.run_to_const state.arena ~n
-      ~successors_iter:
-        (successors_iter_flat config state flow ~si ~di ~beta ~p_norm ~allowed)
-      ~floor ~source ~target
+  let floor =
+    target_floor config state flow ~si ~di ~beta ~p_norm ~allowed ~target
+  in
+  Astar.run_to_const state.arena ~n:state.n
+    ~expand:(successors_iter_flat config state flow ~si ~di ~beta ~p_norm ~allowed)
+    ~floor ~source ~target
 
 let open_missing config state route =
   let topo = state.topo in
@@ -1165,6 +826,15 @@ let note_dropped_links state dropped =
             (Lazy.force inter))
     dropped
 
+(* The routing order: decreasing bandwidth, ties by (src, dst). *)
+let by_bandwidth a b =
+  match Float.compare b.Flow.bandwidth_mbps a.Flow.bandwidth_mbps with
+  | 0 ->
+    (match Int.compare a.Flow.src b.Flow.src with
+     | 0 -> Int.compare a.Flow.dst b.Flow.dst
+     | c -> c)
+  | c -> c
+
 (* Committed flows standing in the failed flow's way, cheapest first: any
    flow routed over a link, inside the failed flow's legal switch region,
    that is either too full to take the flow's bandwidth or driven
@@ -1194,12 +864,11 @@ let conflict_victims state flow ~si ~di =
       in
       scan route
     in
-    let key (s, d) = (s, d) in
     let seen = Hashtbl.create 16 in
     let victims =
       List.filter
         (fun (f, route) ->
-          let k = key (f.Flow.src, f.Flow.dst) in
+          let k = (f.Flow.src, f.Flow.dst) in
           if Hashtbl.mem seen k then false
           else if
             List.exists
@@ -1262,13 +931,7 @@ let rip_up_and_reroute config state flow ~si ~di =
   match rip [] victims with
   | Error ripped -> roll_back ripped
   | Ok ripped ->
-    (* reroute the victims in the main loop's order: decreasing
-       bandwidth, ties by (src, dst) *)
-    let by_bandwidth a b =
-      match compare b.Flow.bandwidth_mbps a.Flow.bandwidth_mbps with
-      | 0 -> compare (a.Flow.src, a.Flow.dst) (b.Flow.src, b.Flow.dst)
-      | c -> c
-    in
+    (* reroute the victims in the main loop's order *)
     let rec reroute = function
       | [] -> true
       | v :: rest ->
@@ -1293,14 +956,6 @@ let islands_of_flow state flow =
   | Topology.Island a, Topology.Island b -> (a, b)
   | _ -> assert false (* cores never attach to indirect switches *)
 
-let by_bandwidth a b =
-  match compare b.Flow.bandwidth_mbps a.Flow.bandwidth_mbps with
-  | 0 ->
-    (match Int.compare a.Flow.src b.Flow.src with
-     | 0 -> Int.compare a.Flow.dst b.Flow.dst
-     | c -> c)
-  | c -> c
-
 (* One-entry, per-domain memo of [List.sort by_bandwidth soc.flows]: the
    flow list is the same physical value for every candidate of a sweep
    and the comparator is pure, so the sweep sorts it once instead of once
@@ -1319,9 +974,10 @@ let sorted_by_bandwidth flows =
     cell := Some (flows, sorted);
     sorted
 
-let route_all ?(priority = []) ?cache ?engine config soc topo ~clocks =
+let route_all ?(priority = []) ?cache ?engine:(_ : engine option) config soc
+    topo ~clocks =
   Metrics.time "path_alloc.route_all" @@ fun () ->
-  let state = make_state ?cache ?engine ~pooled:true config topo ~clocks in
+  let state = make_state ?cache ~pooled:true config topo ~clocks in
   let pristine = save state in
   let flows_of priority =
     match priority with
@@ -1402,17 +1058,17 @@ let route_all ?(priority = []) ?cache ?engine config soc topo ~clocks =
 (* A session wraps the mutable routing state for callers outside the main
    [route_all] sweep: the fault analyzer repairs severed flows one at a
    time, and protected synthesis allocates backup routes.  The optional
-   mask removes faulted switches/links from Dijkstra's view — they can be
+   mask removes faulted switches/links from the search's view — they can be
    neither reused nor reopened. *)
 type session = {
   s_config : Config.t;
   s_state : state;
 }
 
-let session ?mask ?cache ?engine config topo ~clocks =
+let session ?mask ?cache config topo ~clocks =
   {
     s_config = config;
-    s_state = make_state ?mask ?cache ?engine config topo ~clocks;
+    s_state = make_state ?mask ?cache config topo ~clocks;
   }
 
 let discard { s_state = state; _ } flow =

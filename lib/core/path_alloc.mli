@@ -26,20 +26,13 @@ type error = {
   reason : [ `No_path | `Latency of int (** cycles over budget *) ];
 }
 
-type engine =
-  | Reference
-      (** per-search Dijkstra over the topology's link table with freshly
-          allocated scratch — the pre-flat-core path, kept as the
-          bit-identity baseline and the honest "before" side of the
-          EXP-SCALE bench *)
-  | Flat
-      (** arena-reused A* over the flat adjacency: the admissible
-          hop-cost floor into the target as heuristic, decrease-key heap,
-          allocation-free hop kernel.  The default. *)
-(** Which engine expands the per-flow shortest-path search.  Both produce
-    bit-identical topologies, routes and stats (see docs/ALGORITHM.md,
-    "The flat core and A*"); [Flat] is several times faster and
-    allocation-free in the inner loop. *)
+type engine = Flat
+(** The one search engine: A* over the flat adjacency, with the exact
+    hop-cost floor into the target as its constant heuristic (see
+    docs/ALGORITHM.md, "The flat core and A*").  {!route_all} still
+    accepts and ignores an [?engine] argument, and
+    {!Synth.Options.routing} still names this type, so callers written
+    when the library had a second engine keep compiling. *)
 
 type stats = {
   ripups : int;    (** committed flows ripped up by successful recoveries *)
@@ -66,8 +59,8 @@ val route_all :
 (** Mutates the topology: creates links and commits all routes on success
     (and clears the topology's undo journal).  On error the topology must
     be discarded (links of already-routed flows remain).  Flows are
-    processed in decreasing bandwidth order, ties broken by (src, dst) for
-    determinism — except that flows whose [(src, dst)] appears in
+    processed in {!by_bandwidth} order — except that flows whose
+    [(src, dst)] appears in
     [priority] are routed first, in [priority] order.  Failures recover
     in place per the module description; the result reports what recovery
     had to do.  Deterministic: identical inputs produce identical
@@ -79,15 +72,19 @@ val route_all :
     hits/misses are reported in {!Noc_exec.Metrics} as
     [cache.hop_energy.hits] / [cache.hop_energy.misses].
 
-    [engine] (default [Flat]) selects the search engine; results are
-    bit-identical either way. *)
+    [engine] is ignored (see {!engine}). *)
 
 val pp_error : Format.formatter -> error -> unit
+
+val by_bandwidth : Noc_spec.Flow.t -> Noc_spec.Flow.t -> int
+(** The routing order: decreasing bandwidth, ties broken by (src, dst)
+    for determinism.  Recovery re-routes ripped-up flows in this order,
+    and protected synthesis allocates backup routes in it. *)
 
 (** {2 Fault masks and incremental sessions}
 
     A {!mask} removes switches and directed links from the allocator's
-    view: masked resources are neither reused nor reopened by Dijkstra.
+    view: masked resources are neither reused nor reopened by the search.
     The fault analyzer ({!Noc_fault}) repairs severed flows through a
     masked {!session}; protected synthesis allocates backup routes through
     an unmasked one. *)
@@ -111,7 +108,6 @@ type session
 val session :
   ?mask:mask ->
   ?cache:bool ->
-  ?engine:engine ->
   Config.t ->
   Topology.t ->
   clocks:Freq_assign.island_clock array ->
@@ -119,8 +115,8 @@ val session :
 (** Recounts ports and capacities from the topology as it stands.  Links
     already dropped by a fault should be removed (rip up their flows)
     before the session is created so the counters match the survivor
-    fabric; the mask then prevents reopening them.  [cache] and [engine]
-    are as in {!route_all}. *)
+    fabric; the mask then prevents reopening them.  [cache] is as in
+    {!route_all}. *)
 
 val discard : session -> Noc_spec.Flow.t -> bool
 (** Rip up the committed route of the flow (see {!Topology.remove_flow})

@@ -7,9 +7,6 @@ module Delta = Noc_spec.Delta
 module Placer = Noc_floorplan.Placer
 module Anneal = Noc_floorplan.Anneal
 module Power = Noc_models.Power
-module Units = Noc_models.Units
-module Switch_model = Noc_models.Switch_model
-module Ni_model = Noc_models.Ni_model
 module Pool = Noc_exec.Pool
 module Metrics = Noc_exec.Metrics
 module Cancel = Noc_exec.Cancel
@@ -39,7 +36,6 @@ module Options = struct
     protect : bool;
     domains : int option;
     cache : bool;
-    prune : bool;
     routing : Path_alloc.engine;
     cancel : Noc_exec.Cancel.t;
   }
@@ -52,7 +48,6 @@ module Options = struct
       protect = false;
       domains = None;
       cache = true;
-      prune = false;
       routing = Path_alloc.Flat;
       cancel = Noc_exec.Cancel.never;
     }
@@ -131,9 +126,8 @@ let plan_key soc vi ~seed ~anneal =
    spec order, widths and flags, the island map, and the options that
    change the built topology or the acceptance test.  Deliberately
    absent: [soc.name], core names/frequencies/powers, [Vi.shutdownable],
-   scenarios, and [Options.domains]/[cache]/[prune]/[routing] (all four
-   leave every candidate's outcome unchanged — the two routing engines
-   are bit-identical; see synth.mli). *)
+   scenarios, and [Options.domains]/[cache]/[routing] (all three leave
+   every candidate's outcome unchanged; see synth.mli). *)
 let eval_context config soc vi (o : Options.t) =
   Memo.digest
     ( config,
@@ -181,97 +175,6 @@ let make_plan ~cache ~seed ~anneal soc vi =
   in
   if not cache then compute ()
   else copy_plan (Memo.find_or_add plan_memo (plan_key soc vi ~seed ~anneal) compute)
-
-(* ---------- candidate lower bounds (pruning) ---------- *)
-
-(* A sound lower bound on the total power of any feasible design point for
-   the candidate, computable without building or routing it.  Counted:
-   the flow NI dynamic power (exact — every flow charges its source and
-   destination NI at the islands' supplies no matter how it routes), NI
-   clock + leakage for every core, and per-switch clock + leakage at the
-   smallest possible configuration (1x1).  Omitted (all >= 0): switch and
-   link dynamic power of the routes, link/register leakage, converters. *)
-let candidate_power_lb config soc ~clocks ~ni_mw (switch_counts, indirect_count) =
-  let tech = config.Config.tech in
-  let min_cfg =
-    {
-      Switch_model.inputs = 1;
-      outputs = 1;
-      flit_bits = soc.Soc_spec.flit_bits;
-      buffer_depth = config.Config.buffer_depth;
-    }
-  in
-  let standing_mw (c : Freq_assign.island_clock) =
-    Switch_model.clock_power_mw tech min_cfg ~vdd:c.Freq_assign.vdd
-      ~freq_mhz:c.Freq_assign.freq_mhz
-    +. Switch_model.leakage_mw tech min_cfg ~vdd:c.Freq_assign.vdd
-  in
-  let switch_floor = ref 0.0 in
-  Array.iteri
-    (fun island k ->
-      switch_floor :=
-        !switch_floor +. (float_of_int k *. standing_mw clocks.(island)))
-    switch_counts;
-  if indirect_count > 0 then
-    switch_floor :=
-      !switch_floor
-      +. float_of_int indirect_count
-         *. standing_mw (Freq_assign.intermediate_clock config clocks);
-  ni_mw +. !switch_floor
-
-(* Route-independent NI power: flow dynamic (src + dst NI, exact) plus
-   clock and leakage of every core's NI.  Constant across candidates. *)
-let ni_power_mw config soc vi ~clocks =
-  let tech = config.Config.tech in
-  let flit_bits = soc.Soc_spec.flit_bits in
-  let total = ref 0.0 in
-  List.iter
-    (fun f ->
-      let rate =
-        Units.flits_per_second ~bw_mbps:f.Noc_spec.Flow.bandwidth_mbps
-          ~flit_bits
-      in
-      let charge island =
-        let vdd = clocks.(island).Freq_assign.vdd in
-        total :=
-          !total
-          +. Units.power_mw_of_energy
-               ~energy_pj:(Ni_model.energy_per_flit_pj tech ~flit_bits ~vdd)
-               ~events_per_second:rate
-      in
-      charge vi.Vi.of_core.(f.Noc_spec.Flow.src);
-      charge vi.Vi.of_core.(f.Noc_spec.Flow.dst))
-    soc.Soc_spec.flows;
-  Array.iter
-    (fun island ->
-      let c = clocks.(island) in
-      total :=
-        !total
-        +. Ni_model.clock_power_mw tech ~flit_bits ~vdd:c.Freq_assign.vdd
-             ~freq_mhz:c.Freq_assign.freq_mhz
-        +. Ni_model.leakage_mw tech ~flit_bits ~vdd:c.Freq_assign.vdd)
-    vi.Vi.of_core;
-  !total
-
-(* Sound lower bound on the average zero-load latency: a flow between
-   cores of one island may share a switch (2 cycles: pipeline 2, no
-   link); a cross-island flow traverses at least two switches and one
-   link (2*2 + 1 = 5 cycles).  Constant across candidates. *)
-let avg_latency_lb soc vi =
-  let total, count =
-    List.fold_left
-      (fun (acc, n) f ->
-        let lb =
-          if
-            vi.Vi.of_core.(f.Noc_spec.Flow.src)
-            = vi.Vi.of_core.(f.Noc_spec.Flow.dst)
-          then 2.0
-          else 5.0
-        in
-        (acc +. lb, n + 1))
-      (0.0, 0) soc.Soc_spec.flows
-  in
-  if count = 0 then 0.0 else total /. float_of_int count
 
 let run ?(options = Options.default) config soc vi =
   let o = options in
@@ -330,11 +233,13 @@ let run ?(options = Options.default) config soc vi =
     in
     collect 0 [||] []
   in
-  let candidates_of switch_counts =
-    List.init (indirect_max + 1) (fun indirect_count ->
-        (switch_counts, indirect_count))
+  let candidates =
+    List.concat_map
+      (fun switch_counts ->
+        List.init (indirect_max + 1) (fun indirect_count ->
+            (switch_counts, indirect_count)))
+      schedules
   in
-  let candidates = List.concat_map candidates_of schedules in
   let evaluate_raw (switch_counts, indirect_count) =
     (* One build per candidate: routing failures recover in place inside
        [Path_alloc.route_all] (transactional rip-up-and-reroute, with a
@@ -345,34 +250,19 @@ let run ?(options = Options.default) config soc vi =
         ~strategy:o.Options.assignment_strategy ?partition config soc vi
         ~plan ~clocks ~vcgs ~switch_counts ~indirect_count
     in
-    match
-      Path_alloc.route_all ~cache:o.Options.cache ~engine:o.Options.routing
-        config soc topo ~clocks
-    with
+    match Path_alloc.route_all ~cache:o.Options.cache config soc topo ~clocks with
     | Ok stats ->
       let recovered =
         stats.Path_alloc.ripups > 0 || stats.Path_alloc.restarts > 0
       in
       (* Protection: a backup route per multi-hop flow, allocated after
-         every primary so backups see the final fabric.  Deterministic
-         order (decreasing bandwidth, ties by (src, dst)) like the main
-         sweep; a flow that cannot be protected rejects the candidate. *)
+         every primary so backups see the final fabric, in the routing
+         order; a flow that cannot be protected rejects the candidate. *)
       let protected_ok =
         (not o.Options.protect)
         ||
         let session =
-          Path_alloc.session ~cache:o.Options.cache
-            ~engine:o.Options.routing config topo ~clocks
-        in
-        let by_bandwidth a b =
-          match
-            compare b.Noc_spec.Flow.bandwidth_mbps a.Noc_spec.Flow.bandwidth_mbps
-          with
-          | 0 ->
-            compare
-              (a.Noc_spec.Flow.src, a.Noc_spec.Flow.dst)
-              (b.Noc_spec.Flow.src, b.Noc_spec.Flow.dst)
-          | c -> c
+          Path_alloc.session ~cache:o.Options.cache config topo ~clocks
         in
         List.for_all
           (fun flow ->
@@ -385,7 +275,7 @@ let run ?(options = Options.default) config soc vi =
                     Fmt.(array ~sep:comma int)
                     switch_counts indirect_count Path_alloc.pp_error e);
               false)
-          (List.sort by_bandwidth soc.Noc_spec.Soc_spec.flows)
+          (List.sort Path_alloc.by_bandwidth soc.Noc_spec.Soc_spec.flows)
       in
       if not protected_ok then None
       else begin
@@ -447,56 +337,8 @@ let run ?(options = Options.default) config soc vi =
   in
   let evaluated =
     Metrics.time "synth.candidates" @@ fun () ->
-    if not o.Options.prune then
-      Pool.parallel_map ?domains:o.Options.domains evaluate candidates
-      |> List.filter_map Fun.id
-    else begin
-      (* Candidate-level lower-bound pruning: skip a candidate whose
-         power and latency lower bounds are both (non-strictly) dominated
-         by an already-saved point — it cannot beat that point on either
-         objective, so dropping it leaves [best_power], [best_latency]
-         and the strict Pareto front unchanged (the dominating point
-         precedes it in sweep order, so ties still resolve identically).
-         The saved set only grows at schedule boundaries, keeping the
-         evaluation a deterministic function of the inputs for any
-         domain count. *)
-      let saved = ref [] in
-      let dominated (power_lb, latency_lb) =
-        List.exists
-          (fun (p, l) -> p <= power_lb && l <= latency_lb)
-          !saved
-      in
-      let ni_mw = ni_power_mw config soc vi ~clocks in
-      let latency_lb = avg_latency_lb soc vi in
-      List.concat_map
-        (fun switch_counts ->
-          let group =
-            List.filter
-              (fun cand ->
-                let power_lb =
-                  candidate_power_lb config soc ~clocks ~ni_mw cand
-                in
-                if dominated (power_lb, latency_lb) then begin
-                  Metrics.incr "synth.pruned";
-                  false
-                end
-                else true)
-              (candidates_of switch_counts)
-          in
-          let results =
-            Pool.parallel_map ?domains:o.Options.domains evaluate group
-            |> List.filter_map Fun.id
-          in
-          saved :=
-            !saved
-            @ List.map
-                (fun (_, p) ->
-                  ( Power.total_mw p.Design_point.power,
-                    p.Design_point.avg_latency_cycles ))
-                results;
-          results)
-        schedules
-    end
+    Pool.parallel_map ?domains:o.Options.domains evaluate candidates
+    |> List.filter_map Fun.id
   in
   let points = List.map snd evaluated in
   let recovered =

@@ -50,20 +50,10 @@ module Options : sig
             ALGORITHM.md, "Memoization soundness" and "Incremental
             invalidation"); hit/miss/eviction counts appear in
             {!Noc_exec.Metrics} under [cache.*]. *)
-    prune : bool;
-        (** skip candidates whose power/latency lower bounds are dominated
-            by an already-saved point.  Cheaper sweeps with an identical
-            {!best_power}, {!best_latency} and strict Pareto front — but
-            [result.points] may omit the dominated points, so exhaustive
-            sweeps (the default) keep this off *)
     routing : Path_alloc.engine;
-        (** which search engine {!Path_alloc} uses for per-flow shortest
-            paths: the arena-reused A* over the flat adjacency
-            ({!Path_alloc.Flat}, the default) or the per-search Dijkstra
-            baseline ({!Path_alloc.Reference}).  The two are bit-identical
-            (docs/ALGORITHM.md, "The flat core and A*"), so like
-            [domains]/[cache]/[prune] the choice is excluded from every
-            memo key; [Flat] is several times faster. *)
+        (** ignored: {!Path_alloc} has one search engine
+            ({!Path_alloc.engine}).  Kept so callers that set it still
+            compile; excluded from every memo and store key. *)
     cancel : Noc_exec.Cancel.t;
         (** cooperative cancellation token, checked once at the start of
             {!run} and once per candidate at the sweep boundary.  When it
@@ -71,7 +61,7 @@ module Options : sig
             {!run} raises {!Noc_exec.Cancel.Cancelled} within roughly one
             candidate's evaluation time, before any result is assembled —
             a cancelled run never produces a partial [result].  Like
-            [domains]/[cache]/[prune], the token does not participate in
+            [domains]/[cache], the token does not participate in
             memo keys: per-candidate entries computed before the
             cancellation are sound and survive for the next run.  Default
             {!Noc_exec.Cancel.never}. *)
@@ -79,7 +69,7 @@ module Options : sig
 
   val default : t
   (** [{ seed = 0; anneal = true; assignment_strategy = Min_cut;
-        protect = false; domains = None; cache = true; prune = false;
+        protect = false; domains = None; cache = true;
         routing = Path_alloc.Flat; cancel = Cancel.never }] *)
 end
 

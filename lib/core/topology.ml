@@ -48,7 +48,7 @@ type t = {
 type checkpoint = edit list
 
 (* The link container is the flat structure-of-arrays adjacency from
-   [Noc_graph.Flat]: a probe in the Dijkstra/A* inner loop is two array
+   [Noc_graph.Flat]: a probe in the A* inner loop is two array
    loads returning the stored option (no tuple, no hash, no [Some]
    boxing), and the per-switch port-arity checks read O(1) degree
    counters instead of folding over every link.  Journal entries still

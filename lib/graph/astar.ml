@@ -6,15 +6,20 @@
    {!Heap.Indexed} decrease-key heap.  A search therefore allocates
    nothing but the final path list.
 
-   Determinism contract shared with {!Dijkstra}: the heap orders members
-   lexicographically by (f, g, id).  With the constant admissible
-   heuristic used by the path allocator (h(v) = c for v <> target,
-   h(target) = 0, where c is the exact float minimum admissible edge cost
-   into the target), f = g +. c is monotone in g, the g tie-key restores
-   the order of any pops the constant collapses, and the id tie matches
-   Dijkstra's — so every non-target pop happens in exactly Dijkstra's
-   (g, id) order and the returned cost/path are bit-identical.  See
-   docs/ALGORITHM.md. *)
+   Determinism: the heap orders members lexicographically by (f, g, id).
+   With the constant admissible heuristic the path allocator uses
+   (h(v) = floor for v <> target, h(target) = 0, where floor is the exact
+   float minimum admissible edge cost into the target), f = g +. floor is
+   monotone in g, the g tie-key restores the order of any pops the
+   constant collapses, and the id breaks the rest — so every non-target
+   pop happens in exactly Dijkstra's (g, id) order and the returned
+   cost/path are bit-identical to Dijkstra's.  See docs/ALGORITHM.md;
+   the tests hold this entry point to a naive Dijkstra oracle
+   (test/dijkstra_oracle.ml).
+
+   Only the constant-floor heuristic is offered: it is the one shape the
+   path allocator uses, and without flambda a heuristic closure would
+   cost an indirect call per relaxation. *)
 
 type arena = {
   mutable cap : int;
@@ -64,57 +69,7 @@ let reconstruct t ~target =
     Some (t.dist.(target), build target [])
   end
 
-let run_to_iter t ~n ~successors_iter ~heuristic ~source ~target =
-  check t ~n ~source ~target;
-  let epoch = t.epoch in
-  let dist = t.dist and pred = t.pred and stamp = t.stamp in
-  let heap = t.heap in
-  dist.(source) <- 0.0;
-  pred.(source) <- -1;
-  stamp.(source) <- epoch;
-  Heap.Indexed.insert heap source ~key:(0.0 +. heuristic source) ~tie:0.0;
-  let rec loop () =
-    let u = Heap.Indexed.pop_min heap in
-    if u >= 0 && u <> target then begin
-      let d = dist.(u) in
-      successors_iter u (fun v w ->
-          if v >= 0 && v < n && Float.is_finite w && w >= 0.0 then begin
-            let candidate = d +. w in
-            if stamp.(v) <> epoch || candidate < dist.(v) then begin
-              (* Goal-bound pruning: once the target is labeled with d_t,
-                 a label whose f = candidate +. h(v) is >= d_t is dead
-                 weight — admissibility puts every extension of that
-                 path prefix at >= candidate +. h(v) >= d_t (and d_t
-                 only decreases), so dropping it can never change the
-                 target's final distance or predecessor chain; it only
-                 skips heap traffic and the expansion of equal-f plateau
-                 nodes that tie-break ahead of the target.  For
-                 v = target the test coincides with the strict-improvement
-                 guard above, so applying it uniformly is a no-op there. *)
-              let f = candidate +. heuristic v in
-              if stamp.(target) <> epoch || f < dist.(target) then begin
-                dist.(v) <- candidate;
-                pred.(v) <- u;
-                stamp.(v) <- epoch;
-                Heap.Indexed.insert_or_decrease heap v ~key:f ~tie:candidate
-              end
-            end
-          end);
-      loop ()
-    end
-  in
-  loop ();
-  reconstruct t ~target
-
-(* The production entry point: the path allocator's heuristic is always
-   the constant-floor shape, and without flambda the generic
-   [run_to_iter] pays an indirect call per relaxation just to compute
-   [if v = target then 0.0 else floor].  This copy of the loop inlines
-   that test; the float arithmetic — and therefore every pop order and
-   result — is exactly [run_to_iter]'s with that closure (the
-   equivalence is property-tested in test_graph.ml).  Keep the two loop
-   bodies in sync. *)
-let run_to_const t ~n ~successors_iter ~floor ~source ~target =
+let run_to_const t ~n ~expand ~floor ~source ~target =
   if Float.is_nan floor || floor < 0.0 then
     invalid_arg "Astar.run_to_const: floor must be a non-negative bound";
   check t ~n ~source ~target;
@@ -131,11 +86,20 @@ let run_to_const t ~n ~successors_iter ~floor ~source ~target =
     let u = Heap.Indexed.pop_min heap in
     if u >= 0 && u <> target then begin
       let d = dist.(u) in
-      successors_iter u (fun v w ->
+      expand u (fun v w ->
           if v >= 0 && v < n && Float.is_finite w && w >= 0.0 then begin
             let candidate = d +. w in
             if stamp.(v) <> epoch || candidate < dist.(v) then begin
-              (* goal-bound pruning — see [run_to_iter] *)
+              (* Goal-bound pruning: once the target is labeled with d_t,
+                 a label whose f = candidate +. h(v) is >= d_t is dead
+                 weight — admissibility puts every extension of that
+                 path prefix at >= candidate +. h(v) >= d_t (and d_t
+                 only decreases), so dropping it can never change the
+                 target's final distance or predecessor chain; it only
+                 skips heap traffic and the expansion of equal-f plateau
+                 nodes that tie-break ahead of the target.  For
+                 v = target the test coincides with the strict-improvement
+                 guard above, so applying it uniformly is a no-op there. *)
               let f =
                 if v = target then candidate else candidate +. floor
               in

@@ -5,10 +5,7 @@
    structure-of-arrays degree counters so port-count queries are O(1)
    instead of a fold over every edge.  [get] returns the *stored* option
    cell, so probing an edge allocates nothing (unlike
-   [Hashtbl.find_opt], which boxes a fresh [Some] per hit).
-
-   [Csr] is the classic compressed-sparse-row form (int/float arrays) for
-   frozen graphs — the equivalence test-bed for the A* engine. *)
+   [Hashtbl.find_opt], which boxes a fresh [Some] per hit). *)
 
 type 'a t = {
   n : int;
@@ -114,55 +111,3 @@ let clear t =
   Array.fill t.out_deg 0 (Array.length t.out_deg) 0;
   Array.fill t.in_deg 0 (Array.length t.in_deg) 0;
   t.edges <- 0
-
-(* ---------- Frozen CSR form ---------- *)
-
-module Csr = struct
-  type t = {
-    n : int;
-    offsets : int array; (* length n+1; row u = [offsets.(u), offsets.(u+1)) *)
-    targets : int array;
-    weights : float array;
-  }
-
-  let node_count t = t.n
-  let edge_count t = t.offsets.(t.n)
-
-  let of_edges ~n edges =
-    if n < 0 then invalid_arg "Flat.Csr.of_edges: negative node count";
-    List.iter
-      (fun (u, v, _) ->
-        if u < 0 || u >= n || v < 0 || v >= n then
-          invalid_arg "Flat.Csr.of_edges: edge endpoint out of range")
-      edges;
-    (* Sort by (src, dst) so the row layout — and hence relaxation order —
-       is deterministic regardless of input order. *)
-    let sorted =
-      List.sort
-        (fun (u1, v1, _) (u2, v2, _) -> compare (u1, v1) (u2, v2))
-        edges
-    in
-    let m = List.length sorted in
-    let offsets = Array.make (n + 1) 0 in
-    let targets = Array.make (max m 1) 0 in
-    let weights = Array.make (max m 1) 0.0 in
-    List.iter (fun (u, _, _) -> offsets.(u + 1) <- offsets.(u + 1) + 1) sorted;
-    for u = 0 to n - 1 do
-      offsets.(u + 1) <- offsets.(u + 1) + offsets.(u)
-    done;
-    let cursor = Array.copy offsets in
-    List.iter
-      (fun (u, v, w) ->
-        let i = cursor.(u) in
-        targets.(i) <- v;
-        weights.(i) <- w;
-        cursor.(u) <- i + 1)
-      sorted;
-    { n; offsets; targets; weights }
-
-  let iter_succ t u f =
-    if u < 0 || u >= t.n then invalid_arg "Flat.Csr.iter_succ: out of range";
-    for i = t.offsets.(u) to t.offsets.(u + 1) - 1 do
-      f t.targets.(i) t.weights.(i)
-    done
-end

@@ -13,10 +13,7 @@
 
     {!set}/{!remove} are plain in-place mutations, which is exactly what
     the Topology undo journal needs: rollback re-applies the inverse
-    operation on the same container.
-
-    {!Csr} is the frozen compressed-sparse-row form (int/float arrays)
-    for static graphs — used by the A*/Dijkstra equivalence tests. *)
+    operation on the same container. *)
 
 type 'a t
 
@@ -71,21 +68,3 @@ val copy : f:('a -> 'a) -> 'a t -> 'a t
 
 val clear : 'a t -> unit
 (** Remove every edge. *)
-
-(** Frozen compressed-sparse-row digraph: adjacency in int/float arrays. *)
-module Csr : sig
-  type t
-
-  val of_edges : n:int -> (int * int * float) list -> t
-  (** Build from an edge list (last duplicate wins is {e not} applied —
-      duplicates are kept; callers pass deduplicated lists).  Rows are
-      sorted by (src, dst) so iteration order is deterministic.
-      @raise Invalid_argument on out-of-range endpoints. *)
-
-  val node_count : t -> int
-  val edge_count : t -> int
-
-  val iter_succ : t -> int -> (int -> float -> unit) -> unit
-  (** [iter_succ t u f] calls [f v w] per out-edge of [u], in row order —
-      directly pluggable as a [successors_iter]. *)
-end

@@ -1,7 +1,7 @@
 (* Array-backed binary min-heap, unboxed: payloads live in a plain ['a
    array] seeded with a caller-supplied dummy element, so a push costs no
    allocation (the seed stored [Some v] per entry).  [Indexed] adds true
-   decrease-key over int payloads for the routing engines. *)
+   decrease-key over int payloads for the routing search. *)
 
 type 'a t = {
   dummy : 'a;
@@ -86,7 +86,7 @@ let clear h =
 
 module Indexed = struct
   (* Members are ids in [0, n).  Ordering is lexicographic on
-     (key, tie, id): the tie field gives the routing engines a
+     (key, tie, id): the tie field gives the routing search a
      deterministic secondary key (A* stores the g-cost there so that a
      constant heuristic cannot reorder equal-f pops), and the id itself
      breaks remaining ties so pop order never depends on heap

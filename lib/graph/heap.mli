@@ -7,8 +7,8 @@
     handled by lazy deletion: push the same payload again with a smaller
     key and have the caller skip stale entries on pop.
 
-    {!Indexed} is the priority queue behind the routing engines
-    ({!Dijkstra} and {!Astar}): payloads are ids in [0, n), membership is
+    {!Indexed} is the priority queue behind the routing search
+    ({!Astar}): payloads are ids in [0, n), membership is
     tracked in a positions array, and it supports true decrease-key with a
     deterministic lexicographic (key, tie, id) ordering so equal-key pop
     order never depends on heap internals. *)
@@ -70,7 +70,7 @@ module Indexed : sig
   val insert_or_decrease : t -> int -> key:float -> tie:float -> unit
   (** Insert if absent; otherwise decrease iff the new [(key, tie)] is
       strictly smaller.  No-op when the member's current key is already as
-      good — exactly the relaxation step of Dijkstra/A*. *)
+      good — exactly the relaxation step of A*. *)
 
   val pop_min : t -> int
   (** Remove and return the smallest member id, or [-1] if empty. *)

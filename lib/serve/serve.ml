@@ -264,11 +264,10 @@ let request_config (base : Config.t) request =
   { base with Config.alpha = float_field ~default:base.Config.alpha "alpha" request }
 
 (* The store key digests the request's full input: everything that can
-   change the sweep result.  [domains] and [cache] are deliberately
-   absent (results are identical for any value — synth.mli), [prune] is
-   included because it changes which dominated points are saved, and
-   [cancel] is excluded because a cancelled run never produces a result
-   to store. *)
+   change the sweep result.  [domains], [cache] and [routing] are
+   deliberately absent (results are identical for any value —
+   synth.mli), and [cancel] is excluded because a cancelled run never
+   produces a result to store. *)
 let request_key config (o : Synth.Options.t) soc vi =
   Digest.to_hex
     (Memo.digest
@@ -278,8 +277,7 @@ let request_key config (o : Synth.Options.t) soc vi =
          o.Synth.Options.seed,
          o.Synth.Options.anneal,
          o.Synth.Options.assignment_strategy,
-         o.Synth.Options.protect,
-         o.Synth.Options.prune ))
+         o.Synth.Options.protect ))
 
 (* A scenario request's key extends the union key with the scenario-set
    digest (Scenario.digest: canonical order, exact duty bits).  The

@@ -171,31 +171,6 @@ let test_island_sweep_hits_caches () =
   checkb "both sweeps structurally identical" true
     (List.map signature first = List.map signature second)
 
-(* ---------- pruning stays sound ---------- *)
-
-let test_prune_preserves_best () =
-  let soc = D26.soc in
-  let vi = D26.logical_partition ~islands:4 in
-  let full = run_with ~cache:true ~seed:0 soc vi in
-  let pruned =
-    Synth.run
-      ~options:{ Synth.Options.default with Synth.Options.prune = true }
-      config soc vi
-  in
-  let full_sigs = List.map point_signature full.Synth.points in
-  checkb "pruned points are a subset of the full sweep" true
-    (List.for_all
-       (fun p -> List.mem (point_signature p) full_sigs)
-       pruned.Synth.points);
-  checki "same candidate count" full.Synth.candidates_tried
-    pruned.Synth.candidates_tried;
-  checkb "best-power point survives pruning" true
-    (point_signature (Synth.best_power full)
-    = point_signature (Synth.best_power pruned));
-  checkb "best-latency point survives pruning" true
-    (point_signature (Synth.best_latency full)
-    = point_signature (Synth.best_latency pruned))
-
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "noc_cache"
@@ -217,7 +192,5 @@ let () =
         [
           Alcotest.test_case "island_sweep hits the memo layer" `Quick
             test_island_sweep_hits_caches;
-          Alcotest.test_case "pruning preserves best points" `Quick
-            test_prune_preserves_best;
         ] );
     ]

@@ -1,28 +1,24 @@
-(* End-to-end bit-identity of the flat SoA + A* routing engine against
-   the reference Dijkstra path it replaced.  [Synth.Options.routing]
-   selects the engine; everything else — the candidate walk, the
-   evaluation memo, rip-up recovery — is shared, so whole synthesis
-   sweeps must agree on every saved design point and every counter, bit
-   for bit.  The d26/d36 sweeps exercise the rip-up and protected-reroute
-   recovery paths; crossing the engines with the per-state hop memo
-   on/off guards the epoch-encoded tag scheme in [Path_alloc].
+(* The routing engine's two identity guarantees.
 
-   The [Astar.run_to_const] property pins the specialized constant-floor
-   entry point to the generic closure form it replaces on random
-   graphs — including the no-incoming-edge case where the floor is
-   [infinity]. *)
+   Memo identity: whole synthesis sweeps agree bit for bit on every saved
+   design point and every counter with the per-state hop memo on and
+   off, which guards the epoch-encoded tag scheme in [Path_alloc].  The
+   d26/d36 sweeps exercise the rip-up and protected-reroute recovery
+   paths.  (test_golden.ml pins the memo-on sweeps themselves.)
 
-module Config = Noc_synthesis.Config
+   Search identity: [Astar.run_to_const] is bit-identical to the naive
+   Dijkstra oracle on random graphs whose quarter-integer weights make
+   equal-cost ties common — with the zero floor, the exact floor, and the
+   [infinity] floor of a target no edge enters. *)
+
 module Synth = Noc_synthesis.Synth
 module DP = Noc_synthesis.Design_point
-module Path_alloc = Noc_synthesis.Path_alloc
 module Power = Noc_models.Power
 module Bench_case = Noc_benchmarks.Bench_case
 module Astar = Noc_graph.Astar
-module Dijkstra = Noc_graph.Dijkstra
-module Flat = Noc_graph.Flat
+module Digraph = Noc_graph.Digraph
+module Dijkstra = Dijkstra_oracle
 
-let config = Config.default
 let checkb = Alcotest.(check bool)
 
 (* Full signature, not just the Pareto front: every float as stored. *)
@@ -42,91 +38,73 @@ let result_signature (r : Synth.result) =
     r.Synth.candidates_recovered,
     List.map point_signature r.Synth.points )
 
-let sweep name ~engine ~cache =
+let sweep name ~cache =
   let case = Bench_case.find name in
   let options =
-    {
-      Synth.Options.default with
-      Synth.Options.routing = engine;
-      cache;
-      domains = Some 1;
-    }
+    { Synth.Options.default with Synth.Options.cache; domains = Some 1 }
   in
   (* cold process-wide tables: identity must not lean on a warm memo *)
   Noc_cache.Memo.clear_all ();
   result_signature
-    (Synth.run ~options config case.Bench_case.soc case.Bench_case.default_vi)
+    (Synth.run ~options Noc_synthesis.Config.default case.Bench_case.soc
+       case.Bench_case.default_vi)
 
-let test_engine_identity name () =
-  let reference = sweep name ~engine:Path_alloc.Reference ~cache:true in
-  checkb "flat sweep = reference sweep (memo on)" true
-    (sweep name ~engine:Path_alloc.Flat ~cache:true = reference);
-  checkb "flat sweep, memo off = reference sweep, memo on" true
-    (sweep name ~engine:Path_alloc.Flat ~cache:false = reference)
+let test_memo_identity name () =
+  checkb "memo on = memo off" true (sweep name ~cache:true = sweep name ~cache:false)
 
-(* ---------- run_to_const vs the generic closure form ---------- *)
+(* ---------- run_to_const vs the oracle ---------- *)
 
-let random_csr seed n density =
+let random_graph seed n density =
   let st = Random.State.make [| seed; n |] in
-  let edges = ref [] in
+  let g = Digraph.create n in
   for u = 0 to n - 1 do
     for v = 0 to n - 1 do
       if u <> v && Random.State.float st 1.0 < density then
-        edges :=
-          (u, v, float_of_int (1 + Random.State.int st 20) /. 4.0) :: !edges
+        Digraph.add_edge g u v (float_of_int (1 + Random.State.int st 20) /. 4.0)
     done
   done;
-  Flat.Csr.of_edges ~n !edges
+  g
 
-(* The production shape: the exact min weight over edges entering the
-   target, [infinity] when none exists. *)
-let exact_floor csr target =
-  let c = ref infinity in
-  for u = 0 to Flat.Csr.node_count csr - 1 do
-    Flat.Csr.iter_succ csr u (fun v w -> if v = target then c := min !c w)
-  done;
-  !c
-
-let prop_const_matches_closure =
+let prop_const_matches_oracle =
   QCheck.Test.make
     ~name:
-      "run_to_const (exact and zero floors) is bit-identical to run_to_iter \
-       with the constant closure, and to Dijkstra"
+      "run_to_const (exact and zero floors, and infinity with no edge into \
+       the target) is bit-identical to the naive Dijkstra oracle"
     ~count:100
     QCheck.(pair (int_bound 10_000) (int_range 2 16))
     (fun (seed, n) ->
-      let csr = random_csr seed n 0.3 in
-      let succ u relax = Flat.Csr.iter_succ csr u relax in
+      let g = random_graph seed n 0.3 in
       let arena = Astar.create () in
+      let agrees ~expand ~floor ~target =
+        Astar.run_to_const arena ~n ~expand ~floor ~source:0 ~target
+        = Dijkstra.run_to ~n ~expand ~source:0 ~target
+      in
       let ok = ref true in
       for target = 0 to n - 1 do
-        let reference =
-          Dijkstra.run_to_iter ~n ~successors_iter:succ ~source:0 ~target
+        let expand = Dijkstra.of_list (Digraph.succ g) in
+        let exact =
+          List.fold_left (fun c (_, w) -> Float.min c w) infinity
+            (Digraph.pred g target)
         in
-        List.iter
-          (fun floor ->
-            let closure =
-              Astar.run_to_iter arena ~n ~successors_iter:succ
-                ~heuristic:(fun v -> if v = target then 0.0 else floor)
-                ~source:0 ~target
-            in
-            let const =
-              Astar.run_to_const arena ~n ~successors_iter:succ ~floor
-                ~source:0 ~target
-            in
-            if const <> closure || const <> reference then ok := false)
-          [ exact_floor csr target; 0.0 ]
+        (* the same graph with every edge into the target cut *)
+        let cut u relax = expand u (fun v w -> if v <> target then relax v w) in
+        if
+          not
+            (agrees ~expand ~floor:0.0 ~target
+            && agrees ~expand ~floor:exact ~target
+            && agrees ~expand:cut ~floor:infinity ~target)
+        then ok := false
       done;
       !ok)
 
 let test_const_rejects_bad_floor () =
-  let csr = random_csr 7 4 0.5 in
-  let succ u relax = Flat.Csr.iter_succ csr u relax in
+  let g = random_graph 7 4 0.5 in
   let arena = Astar.create () in
   let raises floor =
     match
-      Astar.run_to_const arena ~n:4 ~successors_iter:succ ~floor ~source:0
-        ~target:3
+      Astar.run_to_const arena ~n:4
+        ~expand:(Dijkstra.of_list (Digraph.succ g))
+        ~floor ~source:0 ~target:3
     with
     | exception Invalid_argument _ -> true
     | _ -> false
@@ -143,12 +121,12 @@ let () =
         List.map
           (fun name ->
             Alcotest.test_case
-              (Printf.sprintf "%s: flat sweep = reference sweep" name)
-              `Slow (test_engine_identity name))
+              (Printf.sprintf "%s: memo on = memo off" name)
+              `Slow (test_memo_identity name))
           [ "d12"; "d16"; "d20"; "d26"; "d36" ] );
       ( "astar-const",
         [
-          qt prop_const_matches_closure;
+          qt prop_const_matches_oracle;
           Alcotest.test_case "floor validation" `Quick
             test_const_rejects_bad_floor;
         ] );

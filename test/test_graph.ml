@@ -3,7 +3,7 @@
 module Heap = Noc_graph.Heap
 module Digraph = Noc_graph.Digraph
 module Ugraph = Noc_graph.Ugraph
-module Dijkstra = Noc_graph.Dijkstra
+module Dijkstra = Dijkstra_oracle
 module Astar = Noc_graph.Astar
 module Flat = Noc_graph.Flat
 module Traversal = Noc_graph.Traversal
@@ -236,25 +236,6 @@ let prop_flat_matches_digraph =
       && Array.to_list (Array.init n (Digraph.in_degree g))
          = Array.to_list (Array.init n (Flat.in_degree fl)))
 
-(* ---------- CSR ---------- *)
-
-let test_csr_basic () =
-  let csr =
-    Flat.Csr.of_edges ~n:4 [ (2, 0, 3.0); (0, 1, 1.0); (0, 2, 2.0) ]
-  in
-  checki "nodes" 4 (Flat.Csr.node_count csr);
-  checki "edges" 3 (Flat.Csr.edge_count csr);
-  let row u =
-    let acc = ref [] in
-    Flat.Csr.iter_succ csr u (fun v w -> acc := (v, w) :: !acc);
-    List.rev !acc
-  in
-  check
-    Alcotest.(list (pair int (float 0.0)))
-    "row 0 sorted" [ (1, 1.0); (2, 2.0) ] (row 0);
-  check Alcotest.(list (pair int (float 0.0))) "row 2" [ (0, 3.0) ] (row 2);
-  check Alcotest.(list (pair int (float 0.0))) "empty row" [] (row 3)
-
 (* ---------- Digraph ---------- *)
 
 let test_digraph_basic () =
@@ -380,7 +361,7 @@ let prop_of_digraph_total =
       let u = Ugraph.of_digraph g in
       Float.abs (Ugraph.total_edge_weight u -. Digraph.total_weight g) < 1e-6)
 
-(* ---------- Dijkstra ---------- *)
+(* ---------- Dijkstra (the test oracle) ---------- *)
 
 let diamond () =
   (* 0 -> 1 -> 3 and 0 -> 2 -> 3, cheaper through 2 *)
@@ -391,11 +372,11 @@ let diamond () =
   Digraph.add_edge g 2 3 1.0;
   g
 
-let successors_of g u = Digraph.succ g u
+let expand_of g = Dijkstra.of_list (Digraph.succ g)
 
 let test_dijkstra_diamond () =
   let g = diamond () in
-  let r = Dijkstra.run ~n:4 ~successors:(successors_of g) ~source:0 in
+  let r = Dijkstra.run ~n:4 ~expand:(expand_of g) ~source:0 () in
   checkf "dist 3" 3.0 r.Dijkstra.dist.(3);
   check Alcotest.(option (list int)) "path" (Some [ 0; 2; 3 ])
     (Dijkstra.path_to r 3)
@@ -403,13 +384,13 @@ let test_dijkstra_diamond () =
 let test_dijkstra_unreachable () =
   let g = Digraph.create 3 in
   Digraph.add_edge g 0 1 1.0;
-  let r = Dijkstra.run ~n:3 ~successors:(successors_of g) ~source:0 in
+  let r = Dijkstra.run ~n:3 ~expand:(expand_of g) ~source:0 () in
   checkb "unreachable infinite" true (r.Dijkstra.dist.(2) = infinity);
   check Alcotest.(option (list int)) "no path" None (Dijkstra.path_to r 2);
   check
     Alcotest.(option (pair (float 0.0) (list int)))
     "run_to none" None
-    (Dijkstra.run_to ~n:3 ~successors:(successors_of g) ~source:0 ~target:2)
+    (Dijkstra.run_to ~n:3 ~expand:(expand_of g) ~source:0 ~target:2)
 
 let test_dijkstra_ignores_bad_edges () =
   let successors = function
@@ -417,7 +398,10 @@ let test_dijkstra_ignores_bad_edges () =
     | 2 -> [ (1, 1.0) ]
     | _ -> []
   in
-  match Dijkstra.run_to ~n:3 ~successors ~source:0 ~target:1 with
+  match
+    Dijkstra.run_to ~n:3 ~expand:(Dijkstra.of_list successors) ~source:0
+      ~target:1
+  with
   | Some (cost, path) ->
     checkf "bad edges skipped" 2.0 cost;
     check Alcotest.(list int) "path avoids bad edge" [ 0; 2; 1 ] path
@@ -430,7 +414,7 @@ let prop_dijkstra_relaxed =
     QCheck.(pair (int_bound 1000) (int_range 2 15))
     (fun (seed, n) ->
       let g = random_digraph seed n 0.35 in
-      let r = Dijkstra.run ~n ~successors:(successors_of g) ~source:0 in
+      let r = Dijkstra.run ~n ~expand:(expand_of g) ~source:0 () in
       let relaxed = ref true in
       Digraph.iter_edges
         (fun u v w ->
@@ -439,7 +423,7 @@ let prop_dijkstra_relaxed =
         g;
       let agreement = ref true in
       for t = 0 to n - 1 do
-        match Dijkstra.run_to ~n ~successors:(successors_of g) ~source:0 ~target:t with
+        match Dijkstra.run_to ~n ~expand:(expand_of g) ~source:0 ~target:t with
         | Some (cost, path) ->
           if Float.abs (cost -. r.Dijkstra.dist.(t)) > 1e-9 then
             agreement := false;
@@ -456,10 +440,9 @@ let prop_dijkstra_relaxed =
 let test_astar_diamond () =
   let g = diamond () in
   let arena = Astar.create () in
-  let succ u relax = List.iter (fun (v, w) -> relax v w) (Digraph.succ g u) in
   match
-    Astar.run_to_iter arena ~n:4 ~successors_iter:succ
-      ~heuristic:(fun _ -> 0.0) ~source:0 ~target:3
+    Astar.run_to_const arena ~n:4 ~expand:(expand_of g) ~floor:0.0 ~source:0
+      ~target:3
   with
   | Some (cost, path) ->
     checkf "cost" 3.0 cost;
@@ -470,12 +453,11 @@ let test_astar_unreachable () =
   let g = Digraph.create 3 in
   Digraph.add_edge g 0 1 1.0;
   let arena = Astar.create () in
-  let succ u relax = List.iter (fun (v, w) -> relax v w) (Digraph.succ g u) in
   check
     Alcotest.(option (pair (float 0.0) (list int)))
     "unreachable" None
-    (Astar.run_to_iter arena ~n:3 ~successors_iter:succ
-       ~heuristic:(fun _ -> infinity) ~source:0 ~target:2)
+    (Astar.run_to_const arena ~n:3 ~expand:(expand_of g) ~floor:infinity
+       ~source:0 ~target:2)
 
 let test_astar_same_node () =
   let arena = Astar.create () in
@@ -483,13 +465,12 @@ let test_astar_same_node () =
     Alcotest.(option (pair (float 0.0) (list int)))
     "source = target"
     (Some (0.0, [ 1 ]))
-    (Astar.run_to_iter arena ~n:3
-       ~successors_iter:(fun _ _ -> ())
-       ~heuristic:(fun _ -> 0.0)
-       ~source:1 ~target:1)
+    (Astar.run_to_const arena ~n:3
+       ~expand:(fun _ _ -> ())
+       ~floor:0.0 ~source:1 ~target:1)
 
 let test_astar_ignores_bad_edges () =
-  let successors_iter u relax =
+  let expand u relax =
     match u with
     | 0 ->
       relax 1 (-5.0);
@@ -500,26 +481,18 @@ let test_astar_ignores_bad_edges () =
   in
   let arena = Astar.create () in
   match
-    Astar.run_to_iter arena ~n:3 ~successors_iter
-      ~heuristic:(fun _ -> 0.0) ~source:0 ~target:1
+    Astar.run_to_const arena ~n:3 ~expand ~floor:0.0 ~source:0 ~target:1
   with
   | Some (cost, path) ->
     checkf "bad edges skipped" 2.0 cost;
     check Alcotest.(list int) "path avoids bad edge" [ 0; 2; 1 ] path
   | None -> Alcotest.fail "expected path"
 
-(* The production heuristic shape: h(v) = c for v <> target, h(target) = 0,
-   where c is the exact min weight over edges entering the target
-   (infinity when the target has no incoming edge).  Admissible and
-   consistent by construction. *)
-let floor_heuristic csr target =
-  let c = ref infinity in
-  let n = Flat.Csr.node_count csr in
-  for u = 0 to n - 1 do
-    Flat.Csr.iter_succ csr u (fun v w -> if v = target then c := min !c w)
-  done;
-  let c = !c in
-  fun v -> if v = target then 0.0 else c
+(* The production heuristic's constant: the exact min weight over edges
+   entering the target, [infinity] when the target has none. *)
+let exact_floor g target =
+  List.fold_left (fun c (_, w) -> Float.min c w) infinity
+    (Digraph.pred g target)
 
 let prop_astar_matches_dijkstra =
   QCheck.Test.make
@@ -530,24 +503,19 @@ let prop_astar_matches_dijkstra =
     QCheck.(pair (int_bound 10_000) (int_range 2 16))
     (fun (seed, n) ->
       let g = random_digraph seed n 0.35 in
-      let csr = Flat.Csr.of_edges ~n (Digraph.edges g) in
-      let succ u relax = Flat.Csr.iter_succ csr u relax in
+      let expand = expand_of g in
       let arena = Astar.create () in
       let ok = ref true in
       for target = 0 to n - 1 do
-        let reference =
-          Dijkstra.run_to_iter ~n ~successors_iter:succ ~source:0 ~target
-        in
-        let zero =
-          Astar.run_to_iter arena ~n ~successors_iter:succ
-            ~heuristic:(fun _ -> 0.0) ~source:0 ~target
-        in
-        let floored =
-          Astar.run_to_iter arena ~n ~successors_iter:succ
-            ~heuristic:(floor_heuristic csr target) ~source:0 ~target
-        in
-        (* Bit-identity, not tolerance: same float cost, same path. *)
-        if zero <> reference || floored <> reference then ok := false
+        let reference = Dijkstra.run_to ~n ~expand ~source:0 ~target in
+        List.iter
+          (fun floor ->
+            (* bit-identity, not tolerance: same float cost, same path *)
+            if
+              Astar.run_to_const arena ~n ~expand ~floor ~source:0 ~target
+              <> reference
+            then ok := false)
+          [ 0.0; exact_floor g target ]
       done;
       !ok)
 
@@ -603,7 +571,6 @@ let () =
             test_flat_copy_independent;
           Alcotest.test_case "bounds checking" `Quick test_flat_bounds;
           qt prop_flat_matches_digraph;
-          Alcotest.test_case "csr layout" `Quick test_csr_basic;
         ] );
       ( "digraph",
         [
