@@ -1004,6 +1004,48 @@ let scenario_bench () =
 
 (* ---------------- EXP-SERVE: synthesis as a service ---------------- *)
 
+(* The in-process cost of one memo answer: [Serve.handle_line] on a d48
+   [synth] request already in the daemon's memo, with no socket.  Returns
+   the median microseconds per answer over [reps] timed answers, and the
+   minor words one answer allocates, averaged over [reps] more. *)
+let memo_answer_cost ~reps =
+  let module Serve = Noc_serve.Serve in
+  let state = Serve.create_state (Serve.default_config ~socket_path:"") in
+  let scratch = Noc_cache.Memo.create "bench.serve.scratch" in
+  let line =
+    J.to_string
+      (J.document ~kind:Serve.schema_request
+         [ ("op", J.String "synth"); ("benchmark", J.String "d48") ])
+  in
+  let answer () = fst (Serve.handle_line state ~scratch line) in
+  let source_of response =
+    match J.of_string response with
+    | Ok doc -> (match J.member "source" doc with Some (J.String s) -> s | _ -> "")
+    | Error _ -> ""
+  in
+  let first = source_of (answer ()) in
+  let warm = source_of (answer ()) in
+  if first <> "computed" || warm <> "memo" then
+    failwith
+      (Printf.sprintf "memo answer cost: d48 answered from %s, then %s" first warm);
+  let times =
+    List.init reps (fun _ ->
+        let t0 = Noc_exec.Metrics.now_ns () in
+        ignore (answer ());
+        Int64.to_float (Int64.sub (Noc_exec.Metrics.now_ns ()) t0) /. 1e3)
+  in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to reps do
+    ignore (answer ())
+  done;
+  let words = (Gc.minor_words () -. w0) /. float_of_int reps in
+  Noc_cache.Memo.unregister scratch;
+  (Harness.median times, words)
+
+(* A memo answer may allocate at most this many minor words: a count, so
+   host speed cannot trip it. *)
+let memo_words_budget = 500.0
+
 (* Drive a real daemon — spawned in a sibling domain, spoken to over its
    Unix socket — with the request mix a long-lived service sees: one
    cold spec, a daemon restart (proving the store's persistence: the
@@ -1164,6 +1206,7 @@ let serve () =
       case.Bench_case.default_vi
   in
   let identical = Serve.Codec.result_digest local = digest in
+  let memo_us, memo_words = memo_answer_cost ~reps:2000 in
   let warm_p50 = Harness.percentile 50.0 !warm_ns
   and warm_p99 = Harness.percentile 99.0 !warm_ns in
   let speedup = float_of_int cold_ns /. warm_p50 in
@@ -1181,6 +1224,8 @@ let serve () =
     (float_of_int near_ns /. 1e6) near_source;
   Printf.printf "%-28s %11.3f ms\n" "cold synth (d26, 4 islands)"
     (float_of_int cold2_ns /. 1e6);
+  Printf.printf "%-28s %11.3f ms   (%.0f minor words; in-process, no socket)\n"
+    "memo answer (d48)" (memo_us /. 1e3) memo_words;
   Printf.printf "store speedup %.1fx   identical %b   survived %b   \
                  store entries %d\n%!"
     speedup identical survived store_entries;
@@ -1205,6 +1250,8 @@ let serve () =
       ("survived_invalid", J.Bool invalid_ok);
       ("survived", J.Bool survived);
       ("store_entries", J.Int store_entries);
+      ("memo_handle_us", J.Float memo_us);
+      ("memo_minor_words", J.Float memo_words);
       ("counters", Harness.counters [ "store."; "serve." ]);
     ];
   (try Harness.rm_rf dir with Sys_error _ | Unix.Unix_error _ -> ());
@@ -1216,6 +1263,11 @@ let serve () =
   end;
   if not identical then begin
     Printf.printf "FAIL: served result digest differs from a fresh local run\n";
+    fail := true
+  end;
+  if memo_words > memo_words_budget then begin
+    Printf.printf "FAIL: a d48 memo answer allocates %.0f minor words (gate: %.0f)\n"
+      memo_words memo_words_budget;
     fail := true
   end;
   if not survived then begin

@@ -59,9 +59,7 @@ let registered () =
 
 let name t = t.memo_name
 
-let locked t f =
-  Mutex.lock t.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
+let locked t f = Mutex.protect t.lock f
 
 let find_opt t key = locked t (fun () -> Hashtbl.find_opt t.tbl key)
 

@@ -6,9 +6,7 @@ let lock = Mutex.create ()
 let counters_tbl : (string, int) Hashtbl.t = Hashtbl.create 16
 let timers_tbl : (string, int64 * int) Hashtbl.t = Hashtbl.create 16
 
-let locked f =
-  Mutex.lock lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock lock) f
+let locked f = Mutex.protect lock f
 
 let incr ?(by = 1) name =
   locked (fun () ->

@@ -87,10 +87,16 @@ let default_config ~socket_path =
     handle_signals = false;
   }
 
+(* A result as the daemon holds it: the decoded sweep plus the answer
+   fields every response about it carries, rendered once when the entry
+   is made (computed, promoted from the store, or aliased), so a repeat
+   costs no digest, no best-point search and no float printing. *)
+type entry = { result : Synth.result; answer : (string * Json.t) list }
+
 type state = {
   config : config;
   store : Store.t option;
-  results : (string, Synth.result) Memo.t;
+  results : (string, entry) Memo.t;
       (* decoded-result read cache over the store: a repeat answered from
          here skips the disk read and the Marshal decode (milliseconds
          for a large sweep); the store below it is what survives
@@ -186,82 +192,66 @@ let bool_field ~default key json =
 
 (* ---------- spec resolution (mirrors the CLI's --benchmark/--spec) ---------- *)
 
-let resolve_case ~scratch request =
-  let case =
+type spec_ref = Spec_text of string | Benchmark of string
+
+(* A request's spec source: the fields that select its spec and every
+   request field its key digests.  A connection's table maps it to the
+   resolved spec and key, so a repeat on that connection hashes the
+   source once and parses and marshals nothing.  It keys on the spec
+   text itself: hashing and comparing 5 KB of text costs less than
+   digesting it. *)
+type spec_source = {
+  spec : spec_ref;
+  islands : int;
+  comm : bool;
+  seed : int option;
+  alpha : float;
+  protect : bool;
+}
+
+type resolved = {
+  soc : Soc_spec.t;
+  vi : Vi.t;
+  scenarios : Scenario.t list;
+  key : string;
+}
+
+let spec_source state request =
+  let spec =
     match string_field "spec" request with
-    | Some text ->
-      (match
-         Memo.find_or_add scratch text (fun () -> Spec_io.parse text)
-       with
-      | Error message -> bad_request "spec: %s" message
-      | Ok bundle ->
-        let soc = bundle.Spec_io.soc in
-        let default_vi =
-          match bundle.Spec_io.vi with
-          | Some vi -> vi
-          | None -> Vi.single_island ~cores:(Soc_spec.core_count soc)
-        in
-        {
-          Bench_case.name = soc.Soc_spec.name;
-          soc;
-          default_vi;
-          scenarios = bundle.Spec_io.scenarios;
-          always_on_cores = [];
-        })
+    | Some text -> Spec_text text
     | None ->
-      let name =
-        match string_field "benchmark" request with
-        | Some name -> name
-        | None -> bad_request "request needs a \"benchmark\" or \"spec\" field"
-      in
-      (match Bench_case.find name with
-      | case -> case
-      | exception Not_found ->
-        bad_request "unknown benchmark %s (have: %s)" name
-          (String.concat ", " Bench_case.names))
+      (match string_field "benchmark" request with
+      | Some name -> Benchmark name
+      | None -> bad_request "request needs a \"benchmark\" or \"spec\" field")
   in
-  let islands = int_field ~default:0 "islands" request in
-  let comm = bool_field ~default:false "comm" request in
-  let seed = int_field ~default:0 "seed" request in
-  let vi =
-    if islands = 0 then case.Bench_case.default_vi
-    else if comm then
-      Noc_benchmarks.Partitions.communication_based ~seed ~islands
-        ~always_on_cores:case.Bench_case.always_on_cores case.Bench_case.soc
-    else if case.Bench_case.name = "d26" then
-      Noc_benchmarks.D26.logical_partition ~islands
-    else
-      bad_request
-        "logical partitionings at custom island counts exist only for d26; \
-         set \"comm\": true"
-  in
-  (case.Bench_case.soc, vi, case.Bench_case.scenarios)
-
-(* The scenario set a scenario request runs under: an explicit
-   ["scenarios"] list in the request wins; otherwise the spec's (or
-   benchmark's) declared set. *)
-let request_scenarios ~cores ~default request =
-  match field "scenarios" request with
-  | None -> default
-  | Some (Json.List items) ->
-    List.mapi
-      (fun i item ->
-        match Scenario.of_json ~cores item with
-        | Ok s -> s
-        | Error e ->
-          bad_request "scenarios[%d]: %s" i (Scenario.error_to_string e))
-      items
-  | Some _ -> bad_request "field \"scenarios\" must be a list"
-
-let request_options (base : Synth.Options.t) request =
   {
-    base with
-    Synth.Options.seed = int_field ~default:base.Synth.Options.seed "seed" request;
-    protect = bool_field ~default:base.Synth.Options.protect "protect" request;
+    spec;
+    islands = int_field ~default:0 "islands" request;
+    comm = bool_field ~default:false "comm" request;
+    seed =
+      (match field "seed" request with
+      | None -> None
+      | Some (Json.Int seed) -> Some seed
+      | Some _ -> bad_request "field \"seed\" must be an integer");
+    alpha =
+      float_field ~default:state.config.synth_config.Config.alpha "alpha" request;
+    protect =
+      bool_field ~default:state.config.options.Synth.Options.protect "protect"
+        request;
   }
 
-let request_config (base : Config.t) request =
-  { base with Config.alpha = float_field ~default:base.Config.alpha "alpha" request }
+let request_options ?cancel state source =
+  let base = state.config.options in
+  {
+    base with
+    Synth.Options.seed = Option.value source.seed ~default:base.Synth.Options.seed;
+    protect = source.protect;
+    cancel = Option.value cancel ~default:base.Synth.Options.cancel;
+  }
+
+let request_config state source =
+  { state.config.synth_config with Config.alpha = source.alpha }
 
 (* The store key digests the request's full input: everything that can
    change the sweep result.  [domains], [cache] and [routing] are
@@ -279,6 +269,80 @@ let request_key config (o : Synth.Options.t) soc vi =
          o.Synth.Options.assignment_strategy,
          o.Synth.Options.protect ))
 
+let resolve state source =
+  let case =
+    match source.spec with
+    | Spec_text text ->
+      (match Spec_io.parse text with
+      | Error message -> bad_request "spec: %s" message
+      | Ok bundle ->
+        let soc = bundle.Spec_io.soc in
+        let default_vi =
+          match bundle.Spec_io.vi with
+          | Some vi -> vi
+          | None -> Vi.single_island ~cores:(Soc_spec.core_count soc)
+        in
+        {
+          Bench_case.name = soc.Soc_spec.name;
+          soc;
+          default_vi;
+          scenarios = bundle.Spec_io.scenarios;
+          always_on_cores = [];
+        })
+    | Benchmark name ->
+      (match Bench_case.find name with
+      | case -> case
+      | exception Not_found ->
+        bad_request "unknown benchmark %s (have: %s)" name
+          (String.concat ", " Bench_case.names))
+  in
+  let islands = source.islands in
+  let vi =
+    if islands = 0 then case.Bench_case.default_vi
+    else if source.comm then
+      Noc_benchmarks.Partitions.communication_based
+        ~seed:(Option.value source.seed ~default:0)
+        ~islands ~always_on_cores:case.Bench_case.always_on_cores
+        case.Bench_case.soc
+    else if case.Bench_case.name = "d26" then
+      Noc_benchmarks.D26.logical_partition ~islands
+    else
+      bad_request
+        "logical partitionings at custom island counts exist only for d26; \
+         set \"comm\": true"
+  in
+  let soc = case.Bench_case.soc in
+  {
+    soc;
+    vi;
+    scenarios = case.Bench_case.scenarios;
+    key =
+      request_key (request_config state source) (request_options state source)
+        soc vi;
+  }
+
+(* A request's source and its resolved spec, through the connection's
+   table. *)
+let resolve_request state ~scratch request =
+  let source = spec_source state request in
+  (source, Memo.find_or_add scratch source (fun () -> resolve state source))
+
+(* The scenario set a scenario request runs under: an explicit
+   ["scenarios"] list in the request wins; otherwise the spec's (or
+   benchmark's) declared set. *)
+let request_scenarios ~cores ~default request =
+  match field "scenarios" request with
+  | None -> default
+  | Some (Json.List items) ->
+    List.mapi
+      (fun i item ->
+        match Scenario.of_json ~cores item with
+        | Ok s -> s
+        | Error e ->
+          bad_request "scenarios[%d]: %s" i (Scenario.error_to_string e))
+      items
+  | Some _ -> bad_request "field \"scenarios\" must be a list"
+
 (* A scenario request's key extends the union key with the scenario-set
    digest (Scenario.digest: canonical order, exact duty bits).  The
    stored artifact is the scenario-independent union sweep, so the
@@ -286,9 +350,8 @@ let request_key config (o : Synth.Options.t) soc vi =
    means a repeat of the same (spec, scenario set) pair warm-hits in one
    lookup, and a scenario edit naturally misses to the plain-key alias
    path instead of evicting anything. *)
-let scenario_request_key config (o : Synth.Options.t) soc vi scenarios =
-  Digest.to_hex
-    (Memo.digest (request_key config o soc vi, Scenario.digest scenarios))
+let scenario_request_key union_key scenarios =
+  Digest.to_hex (Memo.digest (union_key, Scenario.digest scenarios))
 
 (* ---------- responses ---------- *)
 
@@ -296,8 +359,8 @@ let respond fields = Json.document ~kind:schema_response fields
 
 (* Machine-readable error taxonomy (docs/FORMAT.md): every error
    response carries a [code] so clients can branch without parsing
-   messages — [bad_request], [infeasible], [timeout], [overloaded],
-   [cancelled], [internal]. *)
+   messages — [bad_request], [too_large], [infeasible], [timeout],
+   [overloaded], [cancelled], [internal]. *)
 let error_response ?(code = "internal") ?(extra = []) msg =
   respond
     ([
@@ -343,37 +406,55 @@ let point_json p =
       ("crossings", Json.Int p.DP.crossing_count);
     ]
 
-let result_fields ~key ~source (r : Synth.result) =
-  [
-    ("status", Json.String "ok");
-    ("source", Json.String source);
-    ("key", Json.String key);
-    ("result_digest", Json.String (Codec.result_digest r));
-    ("candidates_tried", Json.Int r.Synth.candidates_tried);
-    ("candidates_feasible", Json.Int r.Synth.candidates_feasible);
-    ("candidates_recovered", Json.Int r.Synth.candidates_recovered);
-    ("points", Json.Int (List.length r.Synth.points));
-    ("best_power", point_json (Synth.best_power r));
-    ("best_latency", point_json (Synth.best_latency r));
-  ]
+(* The one renderer of a result's answer fields: each value is printed
+   here, once per entry, and spliced verbatim into every answer. *)
+let entry (r : Synth.result) =
+  {
+    result = r;
+    answer =
+      List.map
+        (fun (name, value) -> (name, Json.Raw (Json.to_string value)))
+        [
+          ("result_digest", Json.String (Codec.result_digest r));
+          ("candidates_tried", Json.Int r.Synth.candidates_tried);
+          ("candidates_feasible", Json.Int r.Synth.candidates_feasible);
+          ("candidates_recovered", Json.Int r.Synth.candidates_recovered);
+          ("points", Json.Int (List.length r.Synth.points));
+          ("best_power", point_json (Synth.best_power r));
+          ("best_latency", point_json (Synth.best_latency r));
+        ];
+  }
+
+let result_fields ~key ~source e =
+  ("status", Json.String "ok")
+  :: ("source", Json.String source)
+  :: ("key", Json.String key)
+  :: e.answer
 
 (* ---------- deadlines and cancellation ---------- *)
 
-(* Wrap a synth/rerun body with a per-request cancellation token: the
+(* An error document that answers the request, raised out of the op that
+   made it; [handle_line] sends it as the response. *)
+exception Answered of Json.t
+
+(* A synth/rerun/scenarios request's [deadline_ms], checked whether or
+   not the answer needs synthesis. *)
+let deadline_of request =
+  match field "deadline_ms" request with
+  | Some (Json.Int ms) when ms > 0 -> Some ms
+  | Some (Json.Int _) -> bad_request "field \"deadline_ms\" must be positive"
+  | Some _ -> bad_request "field \"deadline_ms\" must be an integer"
+  | None -> None
+
+(* Run a synthesis under a per-request cancellation token: the
    request's [deadline_ms] arms a monotonic deadline, and the token is
    registered so a draining daemon can cancel it.  [Synth.run] checks
    the token once per candidate, so a firing deadline surfaces here as
    [Cancel.Cancelled] within one candidate's evaluation time — answered
    as a typed [timeout] (or [cancelled], if the daemon cancelled it)
-   instead of running forever. *)
-let with_cancellation state request f =
-  let deadline_ms =
-    match field "deadline_ms" request with
-    | Some (Json.Int ms) when ms > 0 -> Some ms
-    | Some (Json.Int _) -> bad_request "field \"deadline_ms\" must be positive"
-    | Some _ -> bad_request "field \"deadline_ms\" must be an integer"
-    | None -> None
-  in
+   instead of running forever.  Answers from the memo or the store
+   never take a token. *)
+let with_cancellation state ~deadline_ms f =
   let token =
     match deadline_ms with
     | Some ms -> Cancel.with_timeout_ms ms
@@ -385,18 +466,23 @@ let with_cancellation state request f =
     ~finally:(fun () -> unregister_token state id)
     (fun () ->
       match f token with
-      | response -> response
+      | v -> v
       | exception Cancel.Cancelled ->
         if Cancel.deadline_exceeded token then begin
           Metrics.incr "serve.timeouts";
           let ms = Option.value deadline_ms ~default:0 in
-          error_response ~code:"timeout"
-            ~extra:[ ("deadline_ms", Json.Int ms) ]
-            (Printf.sprintf "deadline of %d ms exceeded" ms)
+          raise
+            (Answered
+               (error_response ~code:"timeout"
+                  ~extra:[ ("deadline_ms", Json.Int ms) ]
+                  (Printf.sprintf "deadline of %d ms exceeded" ms)))
         end
         else begin
           Metrics.incr "serve.cancelled";
-          error_response ~code:"cancelled" "request cancelled by daemon drain"
+          raise
+            (Answered
+               (error_response ~code:"cancelled"
+                  "request cancelled by daemon drain"))
         end)
 
 (* ---------- ops ---------- *)
@@ -409,7 +495,7 @@ let store_find state key =
     | None -> None
     | Some payload ->
       (match Codec.decode payload with
-      | Some r -> Some r
+      | Some r -> Some (entry r)
       | None ->
         (* namespace and checksum both passed but the payload does not
            decode: drop the entry rather than serving garbage *)
@@ -417,24 +503,24 @@ let store_find state key =
         Metrics.incr "store.corrupt";
         None))
 
-let store_add state key r =
+let store_add state key e =
   match state.store with
   | None -> ()
-  | Some store -> Store.add store key (Codec.encode r)
+  | Some store -> Store.add store key (Codec.encode e.result)
 
-let remember state key r =
-  ignore (Memo.find_or_add state.results key (fun () -> r))
+let remember state key e =
+  ignore (Memo.find_or_add state.results key (fun () -> e))
 
 (* Look a key up through both layers: the in-process decoded cache, then
    the persistent store (promoting a disk hit into the cache). *)
 let cached state key =
   match Memo.find_opt state.results key with
-  | Some r -> Some ("memo", r)
+  | Some e -> Some ("memo", e)
   | None ->
     (match store_find state key with
-    | Some r ->
-      remember state key r;
-      Some ("store", r)
+    | Some e ->
+      remember state key e;
+      Some ("store", e)
     | None -> None)
 
 let count_answer source =
@@ -444,31 +530,36 @@ let count_answer source =
     | "store" -> "serve.store_answers"
     | _ -> "serve.computed_answers")
 
-(* Answer a spec from the cache or store, or synthesize (across the
-   domain pool) and persist; [source] tells the caller which happened.
-   A [Cancel.Cancelled] escaping [Synth.run] propagates before any
-   store/memo write, so cancelled work never pollutes either layer. *)
-let answer_spec state ~config ~options soc vi =
-  let key = request_key config options soc vi in
+(* Answer [key] from the memo or the store, or run [compute] and
+   persist its result; [source] tells the caller which happened.  A
+   timeout or drain escaping [compute] (as [Answered]) propagates before
+   any store/memo write, so cancelled work never pollutes either layer. *)
+let answer state ~key compute =
   match cached state key with
-  | Some (source, r) ->
+  | Some (source, e) ->
     count_answer source;
-    (key, source, r)
+    (source, e)
   | None ->
     count_answer "computed";
-    let r = Synth.run ~options config soc vi in
-    store_add state key r;
-    remember state key r;
-    (key, "computed", r)
+    let e = entry (compute ()) in
+    store_add state key e;
+    remember state key e;
+    ("computed", e)
+
+(* The sweep a request runs when no layer holds its key. *)
+let sweep state ~deadline_ms src soc vi () =
+  with_cancellation state ~deadline_ms (fun token ->
+      Synth.run
+        ~options:(request_options ~cancel:token state src)
+        (request_config state src) soc vi)
 
 let op_synth state ~scratch request =
-  let soc, vi, _scenarios = resolve_case ~scratch request in
-  let options = request_options state.config.options request in
-  let config = request_config state.config.synth_config request in
-  with_cancellation state request (fun token ->
-      let options = { options with Synth.Options.cancel = token } in
-      let key, source, r = answer_spec state ~config ~options soc vi in
-      respond (result_fields ~key ~source r))
+  let src, spec = resolve_request state ~scratch request in
+  let deadline_ms = deadline_of request in
+  let source, e =
+    answer state ~key:spec.key (sweep state ~deadline_ms src spec.soc spec.vi)
+  in
+  respond (result_fields ~key:spec.key ~source e)
 
 let deltas_of request =
   match field "deltas" request with
@@ -483,71 +574,68 @@ let deltas_of request =
   | None -> bad_request "rerun request needs a \"deltas\" field"
 
 let op_rerun state ~scratch request =
-  let soc, vi, _scenarios = resolve_case ~scratch request in
+  let src, spec = resolve_request state ~scratch request in
+  let soc = spec.soc and vi = spec.vi in
   let delta = deltas_of request in
   if List.exists Delta.is_scenario_delta delta then
     bad_request
       "scenario deltas edit the scenario set, not the spec; apply them \
        client-side and resend the edited set to op \"scenarios\" (the union \
        sweep stays cached)";
-  let options = request_options state.config.options request in
-  let config = request_config state.config.synth_config request in
-  with_cancellation state request @@ fun token ->
-  let options = { options with Synth.Options.cancel = token } in
-  let base_key = request_key config options soc vi in
+  let deadline_ms = deadline_of request in
+  let base_key = spec.key in
   let (soc', vi'), dirty = Delta.dirty_chain (soc, vi) delta in
-  let edited_key = request_key config options soc' vi' in
-  let clean = dirty = Delta.clean in
-  if clean then (
+  let edited_key =
+    request_key (request_config state src) (request_options state src) soc' vi'
+  in
+  let reply (source, e) = respond (result_fields ~key:edited_key ~source e) in
+  if dirty = Delta.clean then (
     match cached state edited_key with
-    | Some (source, r) ->
+    | Some (source, e) ->
       count_answer source;
-      respond (result_fields ~key:edited_key ~source r)
+      reply (source, e)
     | None ->
       (* no synthesis stage reads the edited fields, so the base result
          is the edited spec's result (the bit-identity property of
-         Synth.rerun, test/test_delta.ml); alias it under the edited
-         key, leaving the base entry live *)
+         Synth.rerun, test/test_delta.ml); alias it, rendering and all,
+         under the edited key, leaving the base entry live *)
       (match cached state base_key with
-      | Some (source, r) ->
+      | Some (source, e) ->
         Metrics.incr "serve.alias_answers";
         count_answer source;
-        store_add state edited_key r;
-        remember state edited_key r;
-        respond (result_fields ~key:edited_key ~source r)
+        store_add state edited_key e;
+        remember state edited_key e;
+        reply (source, e)
       | None ->
-        let key, source, r = answer_spec state ~config ~options soc' vi' in
-        respond (result_fields ~key ~source r)))
+        reply
+          (answer state ~key:edited_key (sweep state ~deadline_ms src soc' vi'))))
   else begin
     (* the base entry seeds the incremental rerun, so fetch it before
        evicting; a dirty chain supersedes the base spec, and exactly
-       that one entry is dropped (per-delta-kind dirty sets; content
-       addressing keeps every other entry valid by construction) *)
-    let prev = Option.map snd (cached state base_key) in
+       that one entry — result and rendering — is dropped (per-delta-kind
+       dirty sets; content addressing keeps every other entry valid by
+       construction) *)
+    let prev = Option.map (fun (_, e) -> e.result) (cached state base_key) in
     (match state.store with
     | Some store ->
       if Store.remove store base_key then
         Metrics.incr "serve.superseded_evictions"
     | None -> ());
     ignore (Memo.remove state.results base_key);
-    match cached state edited_key with
-    | Some (source, r) ->
-      count_answer source;
-      respond (result_fields ~key:edited_key ~source r)
-    | None ->
-      count_answer "computed";
-      let prev =
-        match prev with
-        | Some prev -> prev
-        | None -> Synth.run ~options config soc vi
-      in
-      (* rerun evicts the stale in-memory memo entries from the dirty
-         sets, then re-solves incrementally; bit-identical to a fresh
-         run on the edited spec *)
-      let _edited, r = Synth.rerun ~options ~prev ~delta config soc vi in
-      store_add state edited_key r;
-      remember state edited_key r;
-      respond (result_fields ~key:edited_key ~source:"computed" r)
+    reply
+      (answer state ~key:edited_key (fun () ->
+           with_cancellation state ~deadline_ms (fun token ->
+               let options = request_options ~cancel:token state src in
+               let config = request_config state src in
+               let prev =
+                 match prev with
+                 | Some prev -> prev
+                 | None -> Synth.run ~options config soc vi
+               in
+               (* rerun evicts the stale in-memory memo entries from the
+                  dirty sets, then re-solves incrementally; bit-identical
+                  to a fresh run on the edited spec *)
+               snd (Synth.rerun ~options ~prev ~delta config soc vi))))
   end
 
 (* ---------- the scenarios op (schema_version 2) ---------- *)
@@ -574,44 +662,45 @@ let scenario_eval_json (e : Synth.scenario_eval) =
    and re-runs on every answer: per-scenario verification of one point,
    milliseconds against the sweep's seconds, and never stored. *)
 let op_scenarios state ~scratch request =
-  let soc, vi, default_scenarios = resolve_case ~scratch request in
+  let src, spec = resolve_request state ~scratch request in
+  let soc = spec.soc and vi = spec.vi in
   let scenarios =
-    request_scenarios ~cores:(Soc_spec.core_count soc)
-      ~default:default_scenarios request
+    request_scenarios ~cores:(Soc_spec.core_count soc) ~default:spec.scenarios
+      request
   in
   if scenarios = [] then
     bad_request
       "scenario request needs a \"scenarios\" list (or a \"spec\"/benchmark \
        that declares scenarios)";
-  let options = request_options state.config.options request in
-  let config = request_config state.config.synth_config request in
-  with_cancellation state request @@ fun token ->
-  let options = { options with Synth.Options.cancel = token } in
-  let union_key = request_key config options soc vi in
-  let key = scenario_request_key config options soc vi scenarios in
+  let deadline_ms = deadline_of request in
+  let union_key = spec.key in
+  let key = scenario_request_key union_key scenarios in
   let source, union =
     match cached state key with
-    | Some (source, r) ->
+    | Some (source, e) ->
       count_answer source;
-      (source, r)
+      (source, e)
     | None ->
       (match cached state union_key with
-      | Some (source, r) ->
+      | Some (source, e) ->
         Metrics.incr "serve.alias_answers";
         count_answer source;
-        store_add state key r;
-        remember state key r;
-        (source, r)
+        store_add state key e;
+        remember state key e;
+        (source, e)
       | None ->
         count_answer "computed";
-        let r = Synth.run ~options config soc vi in
-        store_add state union_key r;
-        remember state union_key r;
-        store_add state key r;
-        remember state key r;
-        ("computed", r))
+        let e = entry (sweep state ~deadline_ms src soc vi ()) in
+        store_add state union_key e;
+        remember state union_key e;
+        store_add state key e;
+        remember state key e;
+        ("computed", e))
   in
-  let sr = Synth.score_scenarios config soc vi ~scenarios union in
+  let sr =
+    Synth.score_scenarios (request_config state src) soc vi ~scenarios
+      union.result
+  in
   respond
     (result_fields ~key ~source union
     @ [
@@ -716,6 +805,7 @@ let handle_line state ~scratch line =
       | Ok request -> handle_request state ~scratch request
     with
     | result -> result
+    | exception Answered response -> (response, `Continue)
     | exception e -> (error_response_of_exn e, `Continue)
   in
   Atomic.decr state.in_flight;
@@ -734,16 +824,86 @@ let handle_line state ~scratch line =
 
 (* ---------- socket loop ---------- *)
 
+(* The longest request line the daemon reads, newline excluded.  d256's
+   request line is 57.6 KB; a client that sends more without a newline is
+   answered [too_large] and disconnected, so it cannot grow the daemon's
+   memory without bound. *)
+let max_line_bytes = 4 * 1024 * 1024
+
+exception Line_too_large
+
+(* A connection's read side: the bytes read but not yet consumed are
+   [chunk.[lo .. hi-1]]; [pending] collects a line that spans reads. *)
+type reader = {
+  fd : Unix.file_descr;
+  chunk : Bytes.t;
+  mutable lo : int;
+  mutable hi : int;
+  pending : Buffer.t;
+}
+
+let reader fd =
+  { fd; chunk = Bytes.create 65536; lo = 0; hi = 0; pending = Buffer.create 256 }
+
+(* The first newline in [chunk.[i .. hi-1]], or [hi]. *)
+let rec newline r i =
+  if i = r.hi || Bytes.unsafe_get r.chunk i = '\n' then i else newline r (i + 1)
+
+let take_pending r =
+  let line = Buffer.contents r.pending in
+  Buffer.reset r.pending;
+  line
+
+(* [read_line r] is the next line without its newline, or [None] at end
+   of input.  Like [input_line], it scans the bytes already read and
+   reads again only when the line runs past them; it raises
+   [Line_too_large] once more than [max_line_bytes] bytes have arrived
+   without a newline. *)
+let rec read_line r =
+  let stop = newline r r.lo in
+  if Buffer.length r.pending + (stop - r.lo) > max_line_bytes then
+    raise Line_too_large;
+  if stop < r.hi then begin
+    let line =
+      if Buffer.length r.pending = 0 then
+        Bytes.sub_string r.chunk r.lo (stop - r.lo)
+      else begin
+        Buffer.add_subbytes r.pending r.chunk r.lo (stop - r.lo);
+        take_pending r
+      end
+    in
+    r.lo <- stop + 1;
+    Some line
+  end
+  else begin
+    Buffer.add_subbytes r.pending r.chunk r.lo (stop - r.lo);
+    r.lo <- 0;
+    r.hi <- 0;
+    match Unix.read r.fd r.chunk 0 (Bytes.length r.chunk) with
+    | 0 -> if Buffer.length r.pending = 0 then None else Some (take_pending r)
+    | n ->
+      r.hi <- n;
+      read_line r
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> read_line r
+  end
+
 (* Serve one connection's request lines.  The caller owns [fd]: this
    function flushes but never closes it, so the worker loop can
    unregister the descriptor from the drain registry before closing —
    the ordering that makes a force-drain [Unix.shutdown] race-free
    against descriptor reuse. *)
 let serve_connection state fd =
-  let ic = Unix.in_channel_of_descr fd in
+  let r = reader fd in
   let oc = Unix.out_channel_of_descr fd in
-  (* request-scoped scratch memo: spec texts parsed once per connection,
-     dropped from the registry when the connection closes *)
+  let send response =
+    try
+      output_string oc response;
+      output_char oc '\n';
+      flush oc
+    with Sys_error _ -> ()
+  in
+  (* request-scoped scratch table: each spec source resolved once per
+     connection, dropped from the registry when the connection closes *)
   let scratch = Memo.create "serve.spec_parse" in
   Fun.protect
     ~finally:(fun () -> Memo.unregister scratch)
@@ -755,16 +915,23 @@ let serve_connection state fd =
           | None -> false
         then `Stop
         else
-          match input_line ic with
-          | exception End_of_file -> `Continue
-          | exception Sys_error _ -> `Continue
-          | line ->
+          match read_line r with
+          | None -> `Continue
+          | exception (Unix.Unix_error _ | Sys_error _) -> `Continue
+          | exception Line_too_large ->
+            (* answered, then the connection is closed: the rest of the
+               oversized line is never read *)
+            Metrics.incr "serve.too_large";
+            Metrics.incr "serve.errors";
+            send
+              (Json.to_string
+                 (error_response ~code:"too_large"
+                    (Printf.sprintf "request line longer than %d bytes"
+                       max_line_bytes)));
+            `Continue
+          | Some line ->
             let response, verdict = handle_line state ~scratch line in
-            (try
-               output_string oc response;
-               output_char oc '\n';
-               flush oc
-             with Sys_error _ -> ());
+            send response;
             (match verdict with `Stop -> `Stop | `Continue -> loop ())
       in
       loop ())
@@ -854,7 +1021,7 @@ let run config =
     Mutex.lock conns_mutex;
     Hashtbl.iter
       (fun _ fd ->
-        (* receive side first: a worker blocked in [input_line] wakes
+        (* receive side first: a worker blocked in [read_line] wakes
            with EOF, but a cancelled response already in flight can
            still be written and read by the client *)
         try Unix.shutdown fd how with Unix.Unix_error _ -> ())

@@ -21,6 +21,11 @@
     {!Client.request_with_retry} honors the hint with exponential
     backoff and jitter.
 
+    Frames are bounded: a request line longer than {!max_line_bytes}
+    is answered [code = "too_large"] and its connection closed, and a
+    request nested deeper than {!Noc_exec.Json.max_depth} is a
+    [bad_request].
+
     A request may carry [deadline_ms]: synthesis then runs under a
     {!Noc_exec.Cancel} token with a monotonic deadline, checked at
     candidate boundaries, and a request that overruns is answered with
@@ -44,8 +49,9 @@
     (config, spec, VI assignment, result-affecting options).  A repeat
     of the same spec is answered without synthesizing, from one of two
     warm layers, named by the response's [source] field: ["memo"], an
-    in-process cache of decoded results (sub-millisecond — no disk
-    read, no [Marshal] decode), or ["store"], the persistent store
+    in-process cache of decoded results, each with its answer fields
+    rendered once (microseconds — no disk read, no [Marshal] decode, no
+    re-rendering), or ["store"], the persistent store
     itself (a disk hit costs the decode, milliseconds for a large
     sweep, and is promoted into the memo).  Because the store is on
     disk, warm entries survive restarts and may be shared by a fleet of
@@ -156,15 +162,46 @@ val create_state : config -> state
 (** Also sweeps orphaned store temp files ({!Noc_cache.Store.gc_tmp})
     when a store is configured. *)
 
-val handle_line : state -> scratch:(string, (Noc_spec.Spec_io.bundle, string) result) Noc_cache.Memo.t -> string -> string * [ `Continue | `Stop ]
+type spec_source
+(** A request's spec source: its [spec] text or [benchmark] name, plus
+    its [islands], [comm], [seed], [alpha] and [protect] fields. *)
+
+type resolved
+(** The spec a source resolves to — SoC, VI assignment, declared
+    scenarios — and its {!request_key}. *)
+
+val request_key :
+  Noc_synthesis.Config.t ->
+  Noc_synthesis.Synth.Options.t ->
+  Noc_spec.Soc_spec.t ->
+  Noc_spec.Vi.t ->
+  string
+(** The store key of a sweep: a hex digest of the config, the SoC, the VI
+    assignment and the result-affecting options (seed, anneal,
+    assignment strategy, protect). *)
+
+val handle_line :
+  state ->
+  scratch:(spec_source, resolved) Noc_cache.Memo.t ->
+  string ->
+  string * [ `Continue | `Stop ]
 (** Process one request line and render the response line (without the
     trailing newline).  Every exception a request can raise — parse
     errors, [Synth.No_feasible_design], [Kway.Partition_error],
     [Placer.Invalid_plan], deadline [Cancel.Cancelled], I/O failures —
     is converted to an error response with a taxonomy [code]; this
-    function never raises.  [scratch] is the connection-scoped
-    spec-parse memo (see {!run}).  [`Stop] is returned for a [shutdown]
-    request.  Safe to call from several domains on one [state]. *)
+    function never raises.  [scratch] is the connection-scoped table
+    from spec sources to resolved specs and keys (see {!run}): a repeat
+    on one connection resolves its spec and key without parsing or
+    digesting it again.  Its keys assume one [state]'s base config, so
+    a [scratch] serves one [state] only.  [`Stop] is returned for a
+    [shutdown] request.  Safe to call from several domains on one
+    [state]. *)
+
+val max_line_bytes : int
+(** The longest request line the daemon reads (4 MiB, newline excluded).
+    A connection that sends more without a newline is answered
+    [code = "too_large"] and closed. *)
 
 val error_response_of_exn : exn -> Json.t
 (** The error document a failing request is answered with — exposed so
@@ -178,7 +215,7 @@ val run : config -> unit
     pool, and serve until a [shutdown] request, [max_requests], or (when
     [handle_signals]) SIGTERM/SIGINT — then drain as described above and
     return after every worker has been joined.  Each connection gets a
-    request-scoped spec-parse memo table that is
+    request-scoped spec table (see {!handle_line}) that is
     {!Noc_cache.Memo.unregister}ed when the connection closes, so a
     long-lived daemon does not accumulate scratch tables; the daemon's
     own result cache is unregistered the same way on shutdown.  SIGPIPE

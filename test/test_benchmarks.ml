@@ -223,7 +223,7 @@ let test_generator_deterministic () =
     (a.Soc_spec.flows <> c.Soc_spec.flows)
 
 let () =
-  let qt = QCheck_alcotest.to_alcotest in
+  let qt = QCheck_alcotest.to_alcotest ~speed_level:`Quick in
   Alcotest.run "noc_benchmarks"
     [
       ( "recipe",

@@ -172,7 +172,7 @@ let test_island_sweep_hits_caches () =
     (List.map signature first = List.map signature second)
 
 let () =
-  let qt = QCheck_alcotest.to_alcotest in
+  let qt = QCheck_alcotest.to_alcotest ~speed_level:`Quick in
   Alcotest.run "noc_cache"
     [
       ( "memo",

@@ -589,7 +589,7 @@ let test_rerun_island_sweep () =
         ~delta:[ Delta.Move_core { core = 0; island = 1 } ])
 
 let () =
-  let qt = QCheck_alcotest.to_alcotest in
+  let qt = QCheck_alcotest.to_alcotest ~speed_level:`Quick in
   Alcotest.run "noc_delta"
     [
       ( "edits",

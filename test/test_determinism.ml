@@ -128,7 +128,7 @@ let prop_pareto_sound_complete_sorted =
       && sorted front)
 
 let () =
-  let qt = QCheck_alcotest.to_alcotest in
+  let qt = QCheck_alcotest.to_alcotest ~speed_level:`Quick in
   Alcotest.run "noc_determinism"
     [
       ( "parallel = sequential",

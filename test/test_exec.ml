@@ -1,9 +1,11 @@
 (* Tests for the noc_exec execution library: the Domain work pool
-   (order preservation, exception propagation, nesting, reuse) and the
-   metrics registry (counters, timers, JSON dump). *)
+   (order preservation, exception propagation, nesting, reuse), the
+   metrics registry (counters, timers, JSON dump) and the JSON printer
+   and parser (round trip, truncation, nesting limit). *)
 
 module Pool = Noc_exec.Pool
 module Metrics = Noc_exec.Metrics
+module Json = Noc_exec.Json
 
 let checki = Alcotest.(check int)
 let checkb = Alcotest.(check bool)
@@ -158,6 +160,31 @@ let test_monotonic_clock () =
   let b = Metrics.now_ns () in
   checkb "clock does not go backwards" true (b >= a)
 
+(* ---------- Json ---------- *)
+
+let test_json_depth_limit () =
+  let nested depth = String.make depth '[' ^ String.make depth ']' in
+  checkb "max_depth nested arrays parse" true
+    (Result.is_ok (Json.of_string (nested Json.max_depth)));
+  checkb "one level deeper is an error" true
+    (Result.is_error (Json.of_string (nested (Json.max_depth + 1))));
+  (* a megabyte of open brackets: an error, not a stack overflow *)
+  checkb "a line of brackets is an error" true
+    (Result.is_error (Json.of_string (String.make 1_000_000 '[')))
+
+let test_json_escape_clean () =
+  let clean = "no byte here needs escaping: caf\xc3\xa9" in
+  checkb "clean string returned as is" true (Json.escape_string clean == clean);
+  Alcotest.(check string)
+    "escapes quotes, backslashes and control bytes" "a\\\"b\\\\c\\nd\\u001fe"
+    (Json.escape_string "a\"b\\c\nd\031e")
+
+let test_json_raw_spliced () =
+  Alcotest.(check string)
+    "raw text printed verbatim" "{\"a\": {\"b\": 1.5}, \"c\": [1, 2]}"
+    (Json.to_string
+       (Json.Obj [ ("a", Json.Raw "{\"b\": 1.5}"); ("c", Json.Raw "[1, 2]") ]))
+
 (* ---------- qcheck properties ---------- *)
 
 let small_ints = QCheck.(list_of_size Gen.(0 -- 40) small_int)
@@ -186,8 +213,89 @@ let prop_filter_map_equals_sequential =
       let f x = if x mod 3 = 0 then Some (x + 1) else None in
       Pool.parallel_filter_map ~domains f xs = List.filter_map f xs)
 
+(* JSON trees whose strings hold quotes, backslashes, every control
+   byte and multi-byte UTF-8, and whose floats are finite non-integers
+   (an integral float prints as "3.0" and parses back as a [Float] too,
+   but the property is about the general case). *)
+let json_string_gen =
+  let open QCheck.Gen in
+  let piece =
+    oneof
+      [
+        map (String.make 1) (char_range '\000' '\031');
+        oneofl [ "\""; "\\"; "/"; "\xc3\xa9"; "\xe2\x82\xac"; "\xf0\x9f\x98\x80" ];
+        map (String.make 1) printable;
+      ]
+  in
+  map (String.concat "") (list_size (0 -- 12) piece)
+
+let json_float_gen =
+  QCheck.Gen.(
+    map
+      (fun (m, e) ->
+        let f = ldexp (m +. 0.5) e in
+        if Float.is_integer f then 0.25 else f)
+      (pair (float_range (-1000.0) 1000.0) (int_range (-40) 20)))
+
+let json_gen =
+  let open QCheck.Gen in
+  sized
+  @@ fix (fun self n ->
+         let leaf =
+           oneof
+             [
+               return Json.Null;
+               map (fun b -> Json.Bool b) bool;
+               map (fun i -> Json.Int i) int;
+               map (fun f -> Json.Float f) json_float_gen;
+               map (fun s -> Json.String s) json_string_gen;
+             ]
+         in
+         if n <= 0 then leaf
+         else
+           frequency
+             [
+               (2, leaf);
+               (1, map (fun l -> Json.List l) (list_size (0 -- 4) (self (n / 3))));
+               ( 1,
+                 map
+                   (fun l -> Json.Obj l)
+                   (list_size (0 -- 4) (pair json_string_gen (self (n / 3)))) );
+             ])
+
+let json_arb = QCheck.make ~print:Json.to_string json_gen
+
+let prop_json_round_trip =
+  QCheck.Test.make ~name:"Json.of_string (to_string v) = Ok v" ~count:300
+    json_arb (fun v -> Json.of_string (Json.to_string v) = Ok v)
+
+(* A document whose top level is an array or an object: every proper
+   prefix of it is incomplete. *)
+let prop_json_prefixes_rejected =
+  QCheck.Test.make
+    ~name:"every proper prefix of a document is an Error, never an exception"
+    ~count:100
+    (QCheck.make ~print:Json.to_string
+       QCheck.Gen.(
+         oneof
+           [
+             map (fun l -> Json.List l) (list_size (0 -- 4) json_gen);
+             map
+               (fun l -> Json.Obj l)
+               (list_size (0 -- 4) (pair json_string_gen json_gen));
+           ]))
+    (fun v ->
+      let text = Json.to_string v in
+      List.for_all
+        (fun i ->
+          match Json.of_string (String.sub text 0 i) with
+          | Error _ -> true
+          | Ok _ -> false
+          | exception _ -> false)
+        (List.init (String.length text) Fun.id))
+
 let () =
-  let qt = QCheck_alcotest.to_alcotest in
+  let qt = QCheck_alcotest.to_alcotest ~speed_level:`Quick in
   Alcotest.run "noc_exec"
     [
       ( "pool",
@@ -213,6 +321,16 @@ let () =
             test_counters_across_domains;
           Alcotest.test_case "json dump" `Quick test_json;
           Alcotest.test_case "monotonic clock" `Quick test_monotonic_clock;
+        ] );
+      ( "json",
+        [
+          Alcotest.test_case "nesting depth limit" `Quick test_json_depth_limit;
+          Alcotest.test_case "escape_string keeps clean strings" `Quick
+            test_json_escape_clean;
+          Alcotest.test_case "raw text spliced verbatim" `Quick
+            test_json_raw_spliced;
+          qt prop_json_round_trip;
+          qt prop_json_prefixes_rejected;
         ] );
       ( "properties",
         [

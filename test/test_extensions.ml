@@ -533,7 +533,7 @@ let test_round_robin_valid_but_worse () =
      <= Power.total_mw rr_best.DP.power +. 1e-6)
 
 let () =
-  let qt = QCheck_alcotest.to_alcotest in
+  let qt = QCheck_alcotest.to_alcotest ~speed_level:`Quick in
   Alcotest.run "extensions"
     [
       ( "verify",

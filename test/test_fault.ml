@@ -266,7 +266,7 @@ let test_sim_fault_time_validated () =
   | _ -> Alcotest.fail "negative fault time must raise"
 
 let () =
-  let qt = QCheck_alcotest.to_alcotest in
+  let qt = QCheck_alcotest.to_alcotest ~speed_level:`Quick in
   Alcotest.run "noc_fault"
     [
       ( "model",

@@ -114,7 +114,7 @@ let test_const_rejects_bad_floor () =
   checkb "infinite floor accepted" false (raises infinity)
 
 let () =
-  let qt = QCheck_alcotest.to_alcotest in
+  let qt = QCheck_alcotest.to_alcotest ~speed_level:`Quick in
   Alcotest.run "noc_flat"
     [
       ( "engine-identity",

@@ -202,7 +202,7 @@ let test_wiring_positions () =
   done
 
 let () =
-  let qt = QCheck_alcotest.to_alcotest in
+  let qt = QCheck_alcotest.to_alcotest ~speed_level:`Quick in
   Alcotest.run "noc_floorplan"
     [
       ( "geometry",

@@ -544,7 +544,7 @@ let test_reachable () =
   checkb "not to isolated" false (Traversal.reachable g 0 3)
 
 let () =
-  let qt = QCheck_alcotest.to_alcotest in
+  let qt = QCheck_alcotest.to_alcotest ~speed_level:`Quick in
   Alcotest.run "noc_graph"
     [
       ( "heap",

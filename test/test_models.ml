@@ -224,7 +224,7 @@ let prop_power_add_commutes =
          < 1e-9)
 
 let () =
-  let qt = QCheck_alcotest.to_alcotest in
+  let qt = QCheck_alcotest.to_alcotest ~speed_level:`Quick in
   Alcotest.run "noc_models"
     [
       ( "units",

@@ -243,7 +243,7 @@ let prop_cluster_reaches_count =
       && List.for_all (fun isl -> isl >= 0 && isl < k) distinct)
 
 let () =
-  let qt = QCheck_alcotest.to_alcotest in
+  let qt = QCheck_alcotest.to_alcotest ~speed_level:`Quick in
   Alcotest.run "noc_partition"
     [
       ( "fm",

@@ -409,7 +409,7 @@ let test_scenario_impact () =
     impacts
 
 let () =
-  let qt = QCheck_alcotest.to_alcotest in
+  let qt = QCheck_alcotest.to_alcotest ~speed_level:`Quick in
   Alcotest.run "noc_scenario"
     [
       ( "validation",

@@ -1,8 +1,9 @@
 (* Tests for the synthesis daemon (lib/serve): the result codec's
    bit-identity, the error boundary that keeps one bad request from
    killing the service, the store/memo answering layers behind
-   handle_line, and a live socket session with repeat / delta /
-   malformed envelopes surviving a daemon restart. *)
+   handle_line and the one rendering of each result they share, bounded
+   frames, and a live socket session with repeat / delta / malformed
+   envelopes surviving a daemon restart. *)
 
 module Config = Noc_synthesis.Config
 module Synth = Noc_synthesis.Synth
@@ -13,6 +14,11 @@ module Delta = Noc_spec.Delta
 module Soc_spec = Noc_spec.Soc_spec
 module Flow = Noc_spec.Flow
 module Bench_case = Noc_benchmarks.Bench_case
+module Synth_gen = Noc_benchmarks.Synth_gen
+module Spec_io = Noc_spec.Spec_io
+module Vi = Noc_spec.Vi
+module Power = Noc_models.Power
+module DP = Noc_synthesis.Design_point
 module Kway = Noc_partition.Kway
 module Placer = Noc_floorplan.Placer
 
@@ -249,6 +255,230 @@ let test_handle_line_survives_bad_input () =
   checks "shutdown ok" "ok" (str "status" shutdown);
   checkb "shutdown stops" true (v = `Stop)
 
+let read_line_fd fd =
+  let buf = Buffer.create 256 in
+  let byte = Bytes.create 1 in
+  let rec go () =
+    match Unix.read fd byte 0 1 with
+    | 0 -> Buffer.contents buf
+    | _ ->
+      if Bytes.get byte 0 = '\n' then Buffer.contents buf
+      else begin
+        Buffer.add_char buf (Bytes.get byte 0);
+        go ()
+      end
+  in
+  go ()
+
+(* ---------- one rendering per result ---------- *)
+
+(* [line] without its [, "name": value] member, whose value is a JSON
+   string without escapes or an integer. *)
+let drop_member name line =
+  let marker = Printf.sprintf ", \"%s\": " name in
+  let m = String.length marker and n = String.length line in
+  let rec find i =
+    if i + m > n then Alcotest.failf "no member %S in %s" name line
+    else if String.sub line i m = marker then i
+    else find (i + 1)
+  in
+  let i = find 0 in
+  let j = i + m in
+  let rec number_end k =
+    if k < n && (line.[k] = '-' || (line.[k] >= '0' && line.[k] <= '9')) then
+      number_end (k + 1)
+    else k
+  in
+  let stop =
+    if line.[j] = '"' then String.index_from line (j + 1) '"' + 1
+    else number_end j
+  in
+  String.sub line 0 i ^ String.sub line stop (n - stop)
+
+(* An answer line apart from the fields that say how it was answered. *)
+let answer_core line = drop_member "elapsed_ns" (drop_member "source" line)
+
+(* A spec as a request names it, and as the daemon reads it. *)
+type served_case = {
+  label : string;
+  spec_fields : (string * Json.t) list;
+  soc : Soc_spec.t;
+  vi : Vi.t;
+}
+
+let benchmark_case =
+  {
+    label = "d12";
+    spec_fields = [ ("benchmark", Json.String "d12") ];
+    soc = d12.Bench_case.soc;
+    vi = d12.Bench_case.default_vi;
+  }
+
+(* An inline bundle: a generated 16-core SoC on three islands, sent as
+   spec text; its SoC and VI are the ones the daemon parses. *)
+let bundle_case =
+  lazy
+    (let soc =
+       {
+         (Synth_gen.generate ~seed:5
+            { Synth_gen.default_profile with Synth_gen.cores = 16 })
+         with
+         Soc_spec.name = "bundle-s5";
+       }
+     in
+     let vi = Synth_gen.random_vi ~seed:5 ~islands:3 soc in
+     let text = Spec_io.to_string { Spec_io.soc; vi = Some vi; scenarios = [] } in
+     match Spec_io.parse text with
+     | Ok { Spec_io.soc; vi = Some vi; _ } ->
+       { label = "bundle"; spec_fields = [ ("spec", Json.String text) ]; soc; vi }
+     | _ -> Alcotest.fail "generated bundle does not read back")
+
+(* The answer fields of a result, rendered here from the result itself. *)
+let expected_fields (r : Synth.result) =
+  let point p =
+    Json.Obj
+      [
+        ("power_mw", Json.Float (Power.total_mw p.DP.power));
+        ("avg_latency_cycles", Json.Float p.DP.avg_latency_cycles);
+        ("switches", Json.Int p.DP.switch_count);
+        ("indirect", Json.Int p.DP.indirect_count);
+        ("links", Json.Int p.DP.link_count);
+        ("crossings", Json.Int p.DP.crossing_count);
+      ]
+  in
+  [
+    ("result_digest", Json.String (Serve.Codec.result_digest r));
+    ("candidates_tried", Json.Int r.Synth.candidates_tried);
+    ("candidates_feasible", Json.Int r.Synth.candidates_feasible);
+    ("candidates_recovered", Json.Int r.Synth.candidates_recovered);
+    ("points", Json.Int (List.length r.Synth.points));
+    ("best_power", point (Synth.best_power r));
+    ("best_latency", point (Synth.best_latency r));
+  ]
+
+let test_one_rendering case () =
+  with_dir @@ fun dir ->
+  let synth = request_line (("op", Json.String "synth") :: case.spec_fields) in
+  let rerun deltas =
+    request_line
+      ((("op", Json.String "rerun") :: case.spec_fields)
+      @ [ ("deltas", Json.List (List.map Delta.to_json deltas)) ])
+  in
+  let answer handle line =
+    let text, _ = handle line in
+    let json, _ = parse_ok (text, `Continue) in
+    checks (case.label ^ " answered") "ok" (str "status" json);
+    (text, json)
+  in
+  let key = Serve.request_key config Synth.Options.default case.soc case.vi in
+  with_state dir @@ fun handle ->
+  let computed, cold = answer handle synth in
+  checks "computed source" "computed" (str "source" cold);
+  let memo, warm = answer handle synth in
+  checks "memo source" "memo" (str "source" warm);
+  (* the memo answer's key comes from the connection's source table *)
+  checks "table key = request_key" key (str "key" warm);
+  checks "memo answer = computed answer" (answer_core computed) (answer_core memo);
+  (* the fields equal a rendering made straight from Synth.run's result *)
+  let r = Synth.run ~options:Synth.Options.default config case.soc case.vi in
+  List.iter
+    (fun (name, expected) ->
+      checkb
+        (Printf.sprintf "%s %s rendered from Synth.run" case.label name)
+        true
+        (Json.member name warm = Some expected))
+    (expected_fields r);
+  (* a daemon restarted on the store renders the decoded result the same *)
+  (with_state dir @@ fun handle2 ->
+   let stored, disk = answer handle2 synth in
+   checks "store source" "store" (str "source" disk);
+   checks "store answer = computed answer" (answer_core computed)
+     (answer_core stored));
+  (* a clean chain aliases the base entry: same rendering, edited key *)
+  let island =
+    let rec first i = if case.vi.Vi.shutdownable.(i) then i else first (i + 1) in
+    first 0
+  in
+  let clean = [ Delta.Set_always_on { island; always_on = true } ] in
+  let aliased, alias = answer handle (rerun clean) in
+  checks "alias source" "memo" (str "source" alias);
+  let soc', vi' = Delta.apply_all (case.soc, case.vi) clean in
+  checks "alias key = edited request_key"
+    (Serve.request_key config Synth.Options.default soc' vi')
+    (str "key" alias);
+  checks "alias answer = computed answer"
+    (drop_member "key" (answer_core computed))
+    (drop_member "key" (answer_core aliased));
+  (* a dirty chain evicts the base entry, result and rendering together:
+     the base spec is computed again, to the same answer *)
+  let flow = List.hd case.soc.Soc_spec.flows in
+  let dirty =
+    [
+      Delta.Set_flow_bandwidth
+        {
+          src = flow.Flow.src;
+          dst = flow.Flow.dst;
+          bandwidth_mbps = flow.Flow.bandwidth_mbps *. 0.9;
+        };
+    ]
+  in
+  let _, edited = answer handle (rerun dirty) in
+  checks "dirty rerun computed" "computed" (str "source" edited);
+  let again, base = answer handle synth in
+  checks "evicted base recomputed" "computed" (str "source" base);
+  checks "recomputed answer = first answer" (answer_core computed)
+    (answer_core again)
+
+(* ---------- bounded frames ---------- *)
+
+let test_bounded_frames () =
+  with_dir @@ fun dir ->
+  let socket_path = Filename.concat dir "serve.sock" in
+  let daemon =
+    Domain.spawn (fun () ->
+        Serve.run { (Serve.default_config ~socket_path) with Serve.workers = 1 })
+  in
+  (* one byte past the cap, no newline: answered, then disconnected *)
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let rec connect () =
+    match Unix.connect fd (Unix.ADDR_UNIX socket_path) with
+    | () -> ()
+    | exception Unix.Unix_error ((Unix.ENOENT | Unix.ECONNREFUSED), _, _) ->
+      Unix.sleepf 0.02;
+      connect ()
+  in
+  connect ();
+  let frame = String.make (Serve.max_line_bytes + 1) 'x' in
+  ignore (Unix.write_substring fd frame 0 (String.length frame));
+  let too_large =
+    match Json.of_string (read_line_fd fd) with
+    | Ok json -> json
+    | Error msg -> Alcotest.failf "unparsable too_large response: %s" msg
+  in
+  checks "oversized frame status" "error" (str "status" too_large);
+  checks "oversized frame code" "too_large" (str "code" too_large);
+  checks "connection closed after too_large" "" (read_line_fd fd);
+  Unix.close fd;
+  (* the daemon is still serving: a new connection gets a ping answer, and
+     a deeply nested line is a bad request, not an internal error *)
+  let client = Serve.Client.connect ~retry_for:10.0 socket_path in
+  checks "ping after oversized frame" "ok"
+    (str "status" (Serve.Client.request client (envelope [ ("op", Json.String "ping") ])));
+  (* a line longer than one read of the socket is reassembled *)
+  checks "ping spanning reads" "ok"
+    (str "status"
+       (Serve.Client.request client
+          (envelope
+             [ ("op", Json.String "ping"); ("pad", Json.String (String.make 200_000 'x')) ])));
+  (match Json.of_string (Serve.Client.request_line client (String.make 100_000 '[')) with
+  | Ok json -> checks "deep nesting code" "bad_request" (str "code" json)
+  | Error msg -> Alcotest.failf "unparsable deep-nesting response: %s" msg);
+  checks "shutdown" "ok"
+    (str "status"
+       (Serve.Client.request client (envelope [ ("op", Json.String "shutdown") ])));
+  Serve.Client.close client;
+  Domain.join daemon
+
 (* ---------- deadlines ---------- *)
 
 let test_deadline_timeout () =
@@ -315,21 +545,6 @@ let test_metrics_saturation () =
   checkb "cancel tally present" true (int_field "cancelled" >= 0)
 
 (* ---------- overload shedding ---------- *)
-
-let read_line_fd fd =
-  let buf = Buffer.create 256 in
-  let byte = Bytes.create 1 in
-  let rec go () =
-    match Unix.read fd byte 0 1 with
-    | 0 -> Buffer.contents buf
-    | _ ->
-      if Bytes.get byte 0 = '\n' then Buffer.contents buf
-      else begin
-        Buffer.add_char buf (Bytes.get byte 0);
-        go ()
-      end
-  in
-  go ()
 
 let test_overload_shedding () =
   with_dir @@ fun dir ->
@@ -479,6 +694,12 @@ let () =
             test_handle_line_rerun;
           Alcotest.test_case "survives bad input" `Quick
             test_handle_line_survives_bad_input;
+          Alcotest.test_case "one rendering per result: d12" `Quick
+            (test_one_rendering benchmark_case);
+          Alcotest.test_case "one rendering per result: inline bundle" `Quick
+            (fun () -> test_one_rendering (Lazy.force bundle_case) ());
+          Alcotest.test_case "oversized and deeply nested frames" `Quick
+            test_bounded_frames;
           Alcotest.test_case "deadline answered as typed timeout" `Quick
             test_deadline_timeout;
           Alcotest.test_case "metrics saturation fields" `Quick

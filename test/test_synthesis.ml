@@ -733,7 +733,7 @@ let prop_random_soc_simulates =
       | exception Freq_assign.Infeasible _ -> true)
 
 let () =
-  let qt = QCheck_alcotest.to_alcotest in
+  let qt = QCheck_alcotest.to_alcotest ~speed_level:`Quick in
   Alcotest.run "noc_synthesis"
     [
       ( "freq_assign",
