@@ -835,9 +835,19 @@ let delta () =
    state, (b) its duty-weighted system power never exceeds the naive
    union-spec baseline (the union sweep's best-power point judged on the
    same metric), (c) the full scenarios_result is bit-identical across
-   repetitions, worker counts and scenario-list permutations, and (d) a
+   repetitions, worker counts and scenario-list permutations, (d) a
    scenario-weight edit re-scores without re-synthesizing
-   (Synth.rerun_scenarios reuses the union sweep verbatim). *)
+   (Synth.rerun_scenarios reuses the union sweep verbatim), and (e) one
+   Synth.score_scenarios call on the union allocates at most
+   [score_words_budget] minor words. *)
+
+(* One scoring pass over d36's union sweep (54 points, four scenarios)
+   may allocate at most this many minor words: a count, so host speed
+   cannot trip it.  Measured 77k once scoring became one topology pass
+   per point; the per-(scenario, island) walks and per-flow projection it
+   replaced took 886k. *)
+let score_words_budget = 100_000.0
+
 let scenario_bench () =
   let module Delta = Noc_spec.Delta in
   section
@@ -892,6 +902,18 @@ let scenario_bench () =
       (fun (e : Synth.scenario_eval) -> Result.is_ok e.Synth.verified)
       sr.Synth.evals
   in
+  (* (e): the minor words of one warm scoring pass, which must also
+     reproduce the full run's selection *)
+  let score () =
+    Synth.score_scenarios config bsoc vi ~scenarios sr.Synth.union
+  in
+  ignore (score ());
+  let w0 = Gc.minor_words () in
+  let rescored = score () in
+  let score_minor_words = Gc.minor_words () -. w0 in
+  let deterministic = deterministic && digest rescored = digest sr in
+  Printf.printf "%-18s %8.0f minor words (budget %.0f)\n%!" "score_scenarios"
+    score_minor_words score_words_budget;
   let beats_baseline =
     sr.Synth.weighted_power_mw <= sr.Synth.union_baseline_mw +. 1e-9
   in
@@ -983,6 +1005,7 @@ let scenario_bench () =
       ("deterministic", J.Bool deterministic);
       ("rescore_reuses_union", J.Bool rescore_reuses_union);
       ("rescore_s", J.Float t_rescore);
+      ("score_minor_words", J.Float score_minor_words);
       ("result_digest", J.String (digest sr));
       ("evals", J.List (List.map eval_json sr.Synth.evals));
       ("rows", J.List rows);
@@ -998,6 +1021,10 @@ let scenario_bench () =
       gate "results differ across reps/jobs/permutations" deterministic;
       gate "duty-cycle edit re-synthesized instead of re-scoring"
         rescore_reuses_union;
+      gate
+        (Printf.sprintf "one scoring pass allocated %.0f minor words (budget %.0f)"
+           score_minor_words score_words_budget)
+        (score_minor_words <= score_words_budget);
     ]
   in
   if List.exists Fun.id failed then exit 1

@@ -6,11 +6,14 @@ type t = {
   lock : Mutex.t;
 }
 
-(* 3: synthesis options lost the [prune] field, which the serve
-   daemon's request keys digested, so a version-2 key names a different
-   input tuple; the namespace retires those entries wholesale.  (2: the
-   options grew the routing-engine field.) *)
-let format_version = 3
+(* 4: [Topology.t] grew its per-switch NI count.  Stored results are
+   marshalled [Synth.result]s, topologies included, and unmarshalling a
+   value of the old layout at the new type is undefined behaviour, not a
+   decode error, so the namespace must retire version-3 entries.  (3:
+   synthesis options lost the [prune] field, which the serve daemon's
+   request keys digested, so a version-2 key names a different input
+   tuple.  2: the options grew the routing-engine field.) *)
+let format_version = 4
 
 let namespace ?(tag = "") () =
   Printf.sprintf "%d/ocaml-%s/%s" format_version Sys.ocaml_version tag

@@ -171,17 +171,16 @@ let pareto points =
       (Power.total_mw p.Design_point.power, p.Design_point.avg_latency_cycles))
     points
 
-let weighted_power config soc vi scenarios point =
-  (* one definition of the duty-weighted objective, shared with
-     [Synth.run_scenarios]: canonical fold order, residual duty at full
-     power *)
-  Shutdown.weighted_power_mw config soc vi point ~scenarios
-
 let best_scenario_weighted config soc vi ~scenarios result =
   match result.Synth.points with
   | [] -> raise (Synth.No_feasible_design "empty result")
   | first :: rest ->
-    let score = weighted_power config soc vi scenarios in
+    (* the duty-weighted objective [Synth.run_scenarios] selects by, with
+       the scenario set prepared once for the whole sweep *)
+    let score =
+      Shutdown.Scoring.weighted_power_mw
+        (Shutdown.Scoring.prepare config soc vi ~scenarios)
+    in
     List.fold_left
       (fun ((_, best_score) as best) p ->
         let s = score p in

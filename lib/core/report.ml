@@ -123,6 +123,7 @@ let pp config soc ppf report =
   end;
   (* --- per-island summary --- *)
   Format.fprintf ppf "@,islands:@,";
+  let noc_leakage = Shutdown.island_noc_leakages config report.vi topo in
   for isl = 0 to report.vi.Vi.islands - 1 do
     let members = Vi.cores_of_island report.vi isl in
     let switches =
@@ -132,7 +133,7 @@ let pp config soc ppf report =
       "  VI%d%s: %d cores, %d switches, NoC leakage if gated %.2f mW@," isl
       (if report.vi.Vi.shutdownable.(isl) then "" else " (always-on)")
       (List.length members) (List.length switches)
-      (Shutdown.island_noc_leakage_mw config report.vi topo ~island:isl)
+      noc_leakage.(isl)
   done;
   Format.fprintf ppf
     "@,zero-load latency: avg %.2f cycles, worst slack %d cycles; wiring \

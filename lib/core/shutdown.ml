@@ -18,60 +18,83 @@ let pp_violation ppf v =
   Format.fprintf ppf "flow %a transits sw%d in third island %d" Flow.pp
     v.v_flow v.v_switch v.v_island
 
-(* Every offending switch of the route, in route order — matching
-   [Verify.check]'s list-of-violations contract so a broken topology
-   reports all of its problems at once instead of the first. *)
-let route_violations vi topo (flow, route) ~island_banned =
-  let si = vi.Vi.of_core.(flow.Flow.src) in
-  let di = vi.Vi.of_core.(flow.Flow.dst) in
-  let offending sw =
-    match topo.Topology.switches.(sw).Topology.location with
-    | Topology.Intermediate -> None
-    | Topology.Island isl ->
-      if isl <> si && isl <> di && island_banned isl then
-        Some { v_flow = flow; v_switch = sw; v_island = isl }
-      else None
-  in
-  List.filter_map offending route
+(* ---------- the third-island rule ---------- *)
+
+(* Every switch of the route that sits in an island other than the
+   flow's two endpoint islands, in route order.  This is the one
+   definition of the rule: [check_topology], the gating checks below and
+   [Verify] all read it. *)
+let rec transits_of_hops switches flow si di = function
+  | [] -> []
+  | sw :: rest -> (
+    match switches.(sw).Topology.location with
+    | Topology.Island isl when isl <> si && isl <> di ->
+      { v_flow = flow; v_switch = sw; v_island = isl }
+      :: transits_of_hops switches flow si di rest
+    | Topology.Island _ | Topology.Intermediate ->
+      transits_of_hops switches flow si di rest)
+
+let route_transits vi topo (flow, route) =
+  transits_of_hops topo.Topology.switches flow
+    vi.Vi.of_core.(flow.Flow.src)
+    vi.Vi.of_core.(flow.Flow.dst)
+    route
+
+let transits vi topo routes = List.concat_map (route_transits vi topo) routes
 
 let check_topology vi topo =
   match
-    List.concat_map
-      (fun entry -> route_violations vi topo entry ~island_banned:(fun _ -> true))
-      (topo.Topology.routes @ topo.Topology.backup_routes)
+    transits vi topo (topo.Topology.routes @ topo.Topology.backup_routes)
   with
   | [] -> Ok ()
   | violations -> Error violations
 
-let survives_gating vi topo ~gated =
-  let gated_set = Array.make vi.Vi.islands false in
+(* A transit breaks a live flow under a gating exactly when its island
+   is gated and neither endpoint island is (a flow with a gated endpoint
+   is off by design). *)
+let blocks vi gated v =
+  gated.(v.v_island)
+  && (not gated.(vi.Vi.of_core.(v.v_flow.Flow.src)))
+  && not gated.(vi.Vi.of_core.(v.v_flow.Flow.dst))
+
+let gated_mask vi gated =
+  let mask = Array.make vi.Vi.islands false in
   List.iter
     (fun isl ->
       if isl < 0 || isl >= vi.Vi.islands then
         invalid_arg "Shutdown.survives_gating: bad island id";
-      gated_set.(isl) <- true)
+      mask.(isl) <- true)
     gated;
-  let check ((flow, _) as entry) =
-    let si = vi.Vi.of_core.(flow.Flow.src) in
-    let di = vi.Vi.of_core.(flow.Flow.dst) in
-    if gated_set.(si) || gated_set.(di) then [] (* flow itself is off *)
-    else
-      route_violations vi topo entry ~island_banned:(fun isl -> gated_set.(isl))
-  in
-  match List.concat_map check topo.Topology.routes with
+  mask
+
+let survives_gating vi topo ~gated =
+  let mask = gated_mask vi gated in
+  match List.filter (blocks vi mask) (transits vi topo topo.Topology.routes) with
   | [] -> Ok ()
   | violations -> Error violations
 
-let island_noc_leakage_mw config vi topo ~island =
-  if island < 0 || island >= vi.Vi.islands then
-    invalid_arg "Shutdown.island_noc_leakage_mw: bad island";
+(* ---------- the island-leakage rule ---------- *)
+
+(* The NoC leakage gated together with each island, indexed by island,
+   in one pass over the topology: the island's switches in switch order,
+   then the NIs of its cores in core order, then the converters it owns
+   in (src, dst) link order.  A converter belongs to its source switch's
+   island, or to the destination's when the source sits in the
+   intermediate VI, so summing over islands never double-counts.  Each
+   island's accumulator gets exactly the additions, in the same order,
+   that a walk over that island alone would make, so every entry is the
+   same float bit for bit. *)
+let island_noc_leakages config vi topo =
   let tech = config.Config.tech in
   let flit_bits = topo.Topology.flit_bits in
-  let total = ref 0.0 in
+  let switches = topo.Topology.switches in
+  let islands = vi.Vi.islands in
+  let owned isl = isl >= 0 && isl < islands in
+  let total = Array.make islands 0.0 in
   Array.iter
     (fun sw ->
-      if Topology.location_equal sw.Topology.location (Topology.Island island)
-      then begin
+      match sw.Topology.location with
+      | Topology.Island isl when owned isl ->
         let cfg =
           {
             Switch_model.inputs = max 1 (Topology.in_ports topo sw.Topology.sw_id);
@@ -80,48 +103,47 @@ let island_noc_leakage_mw config vi topo ~island =
             buffer_depth = config.Config.buffer_depth;
           }
         in
-        total := !total +. Switch_model.leakage_mw tech cfg ~vdd:sw.Topology.vdd
-      end)
-    topo.Topology.switches;
+        total.(isl) <-
+          total.(isl) +. Switch_model.leakage_mw tech cfg ~vdd:sw.Topology.vdd
+      | Topology.Island _ | Topology.Intermediate -> ())
+    switches;
   Array.iteri
     (fun core sw ->
-      if vi.Vi.of_core.(core) = island then
-        total :=
-          !total
-          +. Ni_model.leakage_mw tech ~flit_bits
-               ~vdd:topo.Topology.switches.(sw).Topology.vdd)
+      let isl = vi.Vi.of_core.(core) in
+      if owned isl then
+        total.(isl) <-
+          total.(isl)
+          +. Ni_model.leakage_mw tech ~flit_bits ~vdd:switches.(sw).Topology.vdd)
     topo.Topology.core_switch;
-  (* Converters: attributed to the source switch's island; when the source
-     sits in the intermediate VI, to the destination island. *)
-  List.iter
-    (fun link ->
+  Noc_graph.Flat.iter
+    (fun _ _ link ->
       if link.Topology.crossing then begin
+        let src = switches.(link.Topology.link_src)
+        and dst = switches.(link.Topology.link_dst) in
         let owner =
-          match
-            topo.Topology.switches.(link.Topology.link_src).Topology.location
-          with
-          | Topology.Island isl -> Some isl
-          | Topology.Intermediate ->
-            (match
-               topo.Topology.switches.(link.Topology.link_dst).Topology.location
-             with
-             | Topology.Island isl -> Some isl
-             | Topology.Intermediate -> None)
+          match (src.Topology.location, dst.Topology.location) with
+          | Topology.Island isl, _ | Topology.Intermediate, Topology.Island isl
+            ->
+            isl
+          | Topology.Intermediate, Topology.Intermediate -> -1
         in
-        if owner = Some island then begin
-          let vdd =
-            Float.max
-              topo.Topology.switches.(link.Topology.link_src).Topology.vdd
-              topo.Topology.switches.(link.Topology.link_dst).Topology.vdd
-          in
-          total :=
-            !total
+        if owned owner then begin
+          let vdd = Float.max src.Topology.vdd dst.Topology.vdd in
+          total.(owner) <-
+            total.(owner)
             +. Sync_model.leakage_mw tech ~flit_bits
                  ~depth:Sync_model.default_depth ~vdd
         end
       end)
-    (Topology.links_list topo);
-  !total
+    topo.Topology.links;
+  total
+
+let island_noc_leakage_mw config vi topo ~island =
+  if island < 0 || island >= vi.Vi.islands then
+    invalid_arg "Shutdown.island_noc_leakage_mw: bad island";
+  (island_noc_leakages config vi topo).(island)
+
+(* ---------- scenario power accounting ---------- *)
 
 type scenario_row = {
   scenario : Scenario.t;
@@ -138,103 +160,168 @@ type report = {
   full_power_mw : float;
 }
 
-let leakage_report config soc vi point ~scenarios =
-  Scenario.validate_duties scenarios;
-  let topo = point.Design_point.topology in
-  let noc_power = point.Design_point.power in
-  let noc_dynamic = Power.dynamic_mw noc_power in
-  let noc_leakage = Power.leakage_mw noc_power in
-  let total_flow_bw =
-    List.fold_left (fun acc f -> acc +. f.Flow.bandwidth_mbps) 0.0
-      soc.Soc_spec.flows
-  in
-  let all_core_leak = Soc_spec.total_core_leakage_mw soc in
-  let full_power =
-    Soc_spec.total_core_dynamic_mw soc +. all_core_leak +. noc_dynamic
-    +. noc_leakage
-  in
-  let row scenario =
-    let used = scenario.Scenario.used_cores in
-    let core_dynamic =
-      Array.fold_left ( +. ) 0.0
-        (Array.mapi
-           (fun core c ->
-             if used.(core) then c.Core_spec.dynamic_mw else 0.0)
-           soc.Soc_spec.cores)
+module Scoring = struct
+  (* What one scenario contributes independently of the design point. *)
+  type part = {
+    scenario : Scenario.t;
+    gated : int list;
+    mask : bool array;  (* [gated] as a per-island mask *)
+    cores_mw : float;  (* used cores' dynamic + every core's leakage *)
+    activity : float;  (* share of the spec's bandwidth still flowing *)
+  }
+
+  type t = {
+    config : Config.t;
+    vi : Vi.t;
+    parts : part array;  (* in the given scenario order *)
+    canonical : int array;  (* [parts] indices in name-sorted order *)
+    rest : float;  (* duty left to all-on operation *)
+    all_cores_mw : float;  (* every core's dynamic + leakage *)
+    island_core_leak : float array;
+  }
+
+  let prepare config soc vi ~scenarios =
+    Scenario.validate_duties scenarios;
+    let total_flow_bw =
+      List.fold_left (fun acc f -> acc +. f.Flow.bandwidth_mbps) 0.0
+        soc.Soc_spec.flows
     in
-    let active_bw =
-      List.fold_left
-        (fun acc f ->
-          if used.(f.Flow.src) && used.(f.Flow.dst) then
-            acc +. f.Flow.bandwidth_mbps
-          else acc)
-        0.0 soc.Soc_spec.flows
+    let all_core_leak = Soc_spec.total_core_leakage_mw soc in
+    let part scenario =
+      let used = scenario.Scenario.used_cores in
+      let core_dynamic =
+        Array.fold_left ( +. ) 0.0
+          (Array.mapi
+             (fun core c -> if used.(core) then c.Core_spec.dynamic_mw else 0.0)
+             soc.Soc_spec.cores)
+      in
+      let active_bw =
+        List.fold_left
+          (fun acc f ->
+            if used.(f.Flow.src) && used.(f.Flow.dst) then
+              acc +. f.Flow.bandwidth_mbps
+            else acc)
+          0.0 soc.Soc_spec.flows
+      in
+      let gated = Scenario.gated_islands scenario vi in
+      {
+        scenario;
+        gated;
+        mask = gated_mask vi gated;
+        cores_mw = core_dynamic +. all_core_leak;
+        activity =
+          (if total_flow_bw > 0.0 then active_bw /. total_flow_bw else 0.0);
+      }
     in
-    let activity =
-      if total_flow_bw > 0.0 then active_bw /. total_flow_bw else 0.0
+    let parts = Array.of_list (List.map part scenarios) in
+    (* The weighted folds run in canonical (name-sorted) order: float
+       addition is not associative, so folding in list order would make
+       the totals depend on scenario-list permutation. *)
+    let canonical =
+      List.init (Array.length parts) Fun.id
+      |> List.sort (fun a b ->
+             String.compare parts.(a).scenario.Scenario.name
+               parts.(b).scenario.Scenario.name)
+      |> Array.of_list
     in
-    let noc_dyn_now = noc_dynamic *. activity in
-    let without =
-      core_dynamic +. all_core_leak +. noc_dyn_now +. noc_leakage
+    let duty_total =
+      Array.fold_left
+        (fun a i -> a +. parts.(i).scenario.Scenario.duty)
+        0.0 canonical
     in
-    let gated = Scenario.gated_islands scenario vi in
-    let saved =
-      List.fold_left
-        (fun acc island ->
-          let core_leak =
+    {
+      config;
+      vi;
+      parts;
+      canonical;
+      rest = Float.max 0.0 (1.0 -. duty_total);
+      all_cores_mw = Soc_spec.total_core_dynamic_mw soc +. all_core_leak;
+      island_core_leak =
+        Array.init vi.Vi.islands (fun island ->
             List.fold_left
               (fun a core -> a +. soc.Soc_spec.cores.(core).Core_spec.leakage_mw)
               0.0
-              (Vi.cores_of_island vi island)
-          in
-          acc +. core_leak +. island_noc_leakage_mw config vi topo ~island)
-        0.0 gated
-    in
-    let with_shutdown = without -. saved in
-    {
-      scenario;
-      gated;
-      power_without_shutdown_mw = without;
-      power_with_shutdown_mw = with_shutdown;
-      savings_fraction = (if without > 0.0 then saved /. without else 0.0);
+              (Vi.cores_of_island vi island));
     }
-  in
-  let rows = List.map row scenarios in
-  (* The weighted folds run over the canonical (name-sorted) row order:
-     float addition is not associative, so folding in list order would
-     make the totals depend on scenario-list permutation. *)
-  let canonical_rows =
-    List.sort
-      (fun a b ->
-        String.compare a.scenario.Scenario.name b.scenario.Scenario.name)
-      rows
-  in
-  let duty_total =
-    List.fold_left
-      (fun a r -> a +. r.scenario.Scenario.duty)
-      0.0 canonical_rows
-  in
-  let rest = Float.max 0.0 (1.0 -. duty_total) in
-  let weighted f =
-    List.fold_left
-      (fun acc r -> acc +. (r.scenario.Scenario.duty *. f r))
-      0.0 canonical_rows
-    +. (rest *. full_power)
-  in
-  let avg_without = weighted (fun r -> r.power_without_shutdown_mw) in
-  let avg_with = weighted (fun r -> r.power_with_shutdown_mw) in
-  let weighted_savings_fraction =
-    if avg_without > 0.0 then (avg_without -. avg_with) /. avg_without else 0.0
-  in
-  {
-    rows;
-    weighted_savings_fraction;
-    weighted_power_mw = avg_with;
-    full_power_mw = full_power;
-  }
+
+  (* One design point: the all-on power, and each scenario's power
+     without and with its islands gated, in [parts] order. *)
+  let powers t point =
+    let noc_power = point.Design_point.power in
+    let noc_dynamic = Power.dynamic_mw noc_power in
+    let noc_leakage = Power.leakage_mw noc_power in
+    let noc_leak = island_noc_leakages t.config t.vi point.Design_point.topology in
+    let without =
+      Array.map
+        (fun p -> p.cores_mw +. (noc_dynamic *. p.activity) +. noc_leakage)
+        t.parts
+    in
+    let saved =
+      Array.map
+        (fun p ->
+          List.fold_left
+            (fun acc island ->
+              acc +. t.island_core_leak.(island) +. noc_leak.(island))
+            0.0 p.gated)
+        t.parts
+    in
+    let full = t.all_cores_mw +. noc_dynamic +. noc_leakage in
+    (full, without, saved)
+
+  (* The duty-weighted mean of a per-scenario power, the residual duty
+     charged at the all-on power [full]. *)
+  let weighted t full per_scenario =
+    let acc = ref 0.0 in
+    for j = 0 to Array.length t.canonical - 1 do
+      let i = t.canonical.(j) in
+      acc := !acc +. (t.parts.(i).scenario.Scenario.duty *. per_scenario.(i))
+    done;
+    !acc +. (t.rest *. full)
+
+  let weighted_power_mw t point =
+    let full, without, saved = powers t point in
+    weighted t full (Array.map2 ( -. ) without saved)
+
+  let report t point =
+    let full, without, saved = powers t point in
+    let with_shutdown = Array.map2 ( -. ) without saved in
+    let rows =
+      List.init (Array.length t.parts) (fun i ->
+          let p = t.parts.(i) in
+          {
+            scenario = p.scenario;
+            gated = p.gated;
+            power_without_shutdown_mw = without.(i);
+            power_with_shutdown_mw = with_shutdown.(i);
+            savings_fraction =
+              (if without.(i) > 0.0 then saved.(i) /. without.(i) else 0.0);
+          })
+    in
+    let avg_without = weighted t full without in
+    let avg_with = weighted t full with_shutdown in
+    {
+      rows;
+      weighted_savings_fraction =
+        (if avg_without > 0.0 then (avg_without -. avg_with) /. avg_without
+         else 0.0);
+      weighted_power_mw = avg_with;
+      full_power_mw = full;
+    }
+
+  let survives t topo =
+    match transits t.vi topo topo.Topology.routes with
+    | [] -> true
+    | transits ->
+      Array.for_all
+        (fun p -> not (List.exists (blocks t.vi p.mask) transits))
+        t.parts
+end
+
+let leakage_report config soc vi point ~scenarios =
+  Scoring.report (Scoring.prepare config soc vi ~scenarios) point
 
 let weighted_power_mw config soc vi point ~scenarios =
-  (leakage_report config soc vi point ~scenarios).weighted_power_mw
+  Scoring.weighted_power_mw (Scoring.prepare config soc vi ~scenarios) point
 
 let pp_report ppf report =
   Format.fprintf ppf "@[<v>shutdown leakage analysis:";

@@ -15,6 +15,13 @@ type violation = {
 
 val pp_violation : Format.formatter -> violation -> unit
 
+val route_transits :
+  Noc_spec.Vi.t -> Topology.t -> Noc_spec.Flow.t * int list -> violation list
+(** The third-island rule on one route: every switch of it that sits in
+    an island other than its flow's two endpoint islands, in route
+    order.  {!check_topology}, {!survives_gating} and [Verify] all read
+    this one definition. *)
+
 val check_topology :
   Noc_spec.Vi.t -> Topology.t -> (unit, violation list) result
 (** Verify the invariant on every committed route — primaries and backup
@@ -81,6 +88,53 @@ val island_noc_leakage_mw :
     switches, the NIs of its cores and the converters on crossing links
     driven from or received in it (each converter is counted with exactly
     one island — the source switch's — so summing over islands never
-    double-counts). *)
+    double-counts).  One entry of {!island_noc_leakages}.
+    @raise Invalid_argument on an island outside the VI. *)
+
+val island_noc_leakages : Config.t -> Noc_spec.Vi.t -> Topology.t -> float array
+(** {!island_noc_leakage_mw} of every island, indexed by island, from one
+    pass over the topology.  Each entry gets exactly the additions, in
+    the same order, that a walk over that island alone makes, so it is
+    the same float bit for bit. *)
+
+(** A scenario set prepared once for scoring many design points.
+
+    {!leakage_report} and {!weighted_power_mw} are views over this
+    module for a single point.  A sweep scores every saved point against
+    the same set, so {!Scoring.prepare} computes what depends on the
+    scenarios alone: each scenario's gated islands, its used cores'
+    dynamic power plus every core's leakage, its share of the spec's
+    bandwidth, the per-island core leakage, the duty left to all-on
+    operation and the spec totals.  A point then costs one topology pass
+    ({!island_noc_leakages}) and O(scenarios × gated islands)
+    arithmetic.  Every float is computed by the same operations in the
+    same order as before the split, so results are bit-identical. *)
+module Scoring : sig
+  type t
+
+  val prepare :
+    Config.t ->
+    Noc_spec.Soc_spec.t ->
+    Noc_spec.Vi.t ->
+    scenarios:Noc_spec.Scenario.t list ->
+    t
+  (** Report rows keep the given scenario order; duty-weighted totals
+      fold over the canonical (name-sorted) order.
+      @raise Invalid_argument if duties are inconsistent
+      ({!Noc_spec.Scenario.validate_duties}). *)
+
+  val report : t -> Design_point.t -> report
+  (** {!leakage_report} of one point. *)
+
+  val weighted_power_mw : t -> Design_point.t -> float
+  (** [(report t point).weighted_power_mw], without building the rows. *)
+
+  val survives : t -> Topology.t -> bool
+  (** Does every scenario's gating leave every live flow's primary route
+      clear ({!survives_gating} [= Ok ()] for each scenario's gated
+      islands)?  One walk over the primary routes collects the
+      third-island transits (normally none); each scenario is then
+      answered in O(transits). *)
+end
 
 val pp_report : Format.formatter -> report -> unit

@@ -496,11 +496,9 @@ let validate_scenarios soc scenarios =
    re-derived from the subset. *)
 let verify_in_scenario config soc vi ~clocks point scenario =
   let live = Scenario.flow_active scenario in
-  let live_flows = List.filter live soc.Soc_spec.flows in
+  let live_flows, parked = List.partition live soc.Soc_spec.flows in
   let topo = Topology.copy point.Design_point.topology in
-  List.iter
-    (fun f -> if not (live f) then ignore (Topology.remove_flow topo f))
-    soc.Soc_spec.flows;
+  Topology.remove_flows topo parked;
   let hops_ok route =
     let rec go = function
       | a :: (b :: _ as rest) -> (
@@ -519,44 +517,49 @@ let verify_in_scenario config soc vi ~clocks point scenario =
   let soc' = { soc with Soc_spec.flows = live_flows } in
   Verify.check_all ~clocks config soc' vi topo
 
-let score_scenarios config soc vi ~scenarios union =
-  validate_scenarios soc scenarios;
-  let canon = Scenario.canonical scenarios in
-  let weighted point =
-    Shutdown.weighted_power_mw config soc vi point ~scenarios:canon
-  in
-  let survives_all point =
-    List.for_all
-      (fun s ->
-        Result.is_ok
-          (Shutdown.survives_gating vi point.Design_point.topology
-             ~gated:(Scenario.gated_islands s vi)))
-      canon
-  in
-  (* The cheap filter: the paper's shutdown-safety invariant holds by
-     construction on every sweep point, so this normally keeps the whole
-     sweep; it is the defense-in-depth gate that scenario selection never
-     picks a point some live flow of some scenario cannot survive. *)
+(* Scoring and selection against a prepared scenario set (see
+   [Shutdown.Scoring]): each point costs one topology pass for its
+   duty-weighted power and one walk over its primary routes for the
+   gating filter. *)
+let select_scenario_point config soc vi ~scenarios scoring union =
   let scored =
     List.filter_map
-      (fun p -> if survives_all p then Some (p, weighted p) else None)
+      (fun p ->
+        (* The cheap filter: the paper's shutdown-safety invariant holds
+           by construction on every sweep point, so this normally keeps
+           the whole sweep; it is the defense-in-depth gate that scenario
+           selection never picks a point some live flow of some scenario
+           cannot survive. *)
+        if Shutdown.Scoring.survives scoring p.Design_point.topology then
+          Some (p, Shutdown.Scoring.weighted_power_mw scoring p)
+        else None)
       union.points
   in
+  (* The point's evaluations once it verifies in every scenario, or
+     [None] at the first scenario (canonical order) that fails. *)
   let evals_of point =
-    let report = Shutdown.leakage_report config soc vi point ~scenarios:canon in
-    List.map
-      (fun (r : Shutdown.scenario_row) ->
-        let s = r.Shutdown.scenario in
-        let active = List.length (Scenario.active_flows s soc.Soc_spec.flows) in
-        {
-          scenario = s;
-          gated = r.Shutdown.gated;
-          active_flows = active;
-          parked_flows = List.length soc.Soc_spec.flows - active;
-          power_mw = r.Shutdown.power_with_shutdown_mw;
-          verified = verify_in_scenario config soc vi ~clocks:union.clocks point s;
-        })
-      report.Shutdown.rows
+    let verifies s =
+      Result.is_ok
+        (verify_in_scenario config soc vi ~clocks:union.clocks point s)
+    in
+    if not (List.for_all verifies scenarios) then None
+    else
+      Some
+        (List.map
+           (fun (r : Shutdown.scenario_row) ->
+             let s = r.Shutdown.scenario in
+             let active =
+               List.length (Scenario.active_flows s soc.Soc_spec.flows)
+             in
+             {
+               scenario = s;
+               gated = r.Shutdown.gated;
+               active_flows = active;
+               parked_flows = List.length soc.Soc_spec.flows - active;
+               power_mw = r.Shutdown.power_with_shutdown_mw;
+               verified = Ok ();
+             })
+           (Shutdown.Scoring.report scoring point).Shutdown.rows)
   in
   (* Deterministic selection: duty-weighted-power argmin (sweep order
      breaks ties), fully re-verified in every scenario; a winner that
@@ -569,36 +572,46 @@ let score_scenarios config soc vi ~scenarios union =
         (No_feasible_design
            (Printf.sprintf
               "%s: no sweep point verifies in all %d scenarios"
-              soc.Soc_spec.name (List.length canon)))
-    | _ ->
+              soc.Soc_spec.name (List.length scenarios)))
+    | first :: rest ->
       let (best, best_w) =
-        match pool with
-        | first :: rest ->
-          List.fold_left
-            (fun ((_, aw) as acc) ((_, w) as cand) ->
-              if w < aw then cand else acc)
-            first rest
-        | [] -> assert false
+        List.fold_left
+          (fun ((_, aw) as acc) ((_, w) as cand) ->
+            if w < aw then cand else acc)
+          first rest
       in
-      let evals = evals_of best in
-      if List.for_all (fun e -> Result.is_ok e.verified) evals then
-        (best, best_w, evals)
-      else begin
+      match evals_of best with
+      | Some evals -> (best, best_w, evals)
+      | None ->
         Metrics.incr "synth.scenario_rejected";
         Log.warn (fun m ->
             m "scenario-best point fails projected verification; excluded");
         select (List.filter (fun (p, _) -> p != best) pool)
-      end
   in
   let best, weighted_power_mw, evals = select scored in
-  let union_baseline_mw = weighted (best_power union) in
+  let baseline = best_power union in
+  let union_baseline_mw =
+    match List.assq_opt baseline scored with
+    | Some w -> w
+    | None -> Shutdown.Scoring.weighted_power_mw scoring baseline
+  in
   { union; best; weighted_power_mw; union_baseline_mw; evals }
+
+(* Validate the set once and prepare it for scoring, in canonical order. *)
+let prepare_scenarios config soc vi scenarios =
+  validate_scenarios soc scenarios;
+  let canon = Scenario.canonical scenarios in
+  (canon, Shutdown.Scoring.prepare config soc vi ~scenarios:canon)
+
+let score_scenarios config soc vi ~scenarios union =
+  let scenarios, scoring = prepare_scenarios config soc vi scenarios in
+  select_scenario_point config soc vi ~scenarios scoring union
 
 let run_scenarios ?(options = Options.default) config soc vi ~scenarios =
   Metrics.time "synth.scenarios" @@ fun () ->
-  validate_scenarios soc scenarios;
+  let scenarios, scoring = prepare_scenarios config soc vi scenarios in
   let union = run ~options config soc vi in
-  score_scenarios config soc vi ~scenarios union
+  select_scenario_point config soc vi ~scenarios scoring union
 
 let rerun_scenarios ?(options = Options.default) ~prev ~delta config soc vi
     ~scenarios =

@@ -202,9 +202,12 @@ val score_scenarios :
     existing union sweep result (the serve daemon's warm path re-scores
     a stored sweep under a new scenario set without re-synthesizing).
     Selection: filter points surviving every scenario's gating
-    ({!Shutdown.survives_gating}), take the duty-weighted-power argmin,
+    ({!Shutdown.Scoring.survives}), take the duty-weighted-power argmin,
     fully re-verify it per scenario, and on any verification failure
-    exclude it and repeat. *)
+    exclude it and repeat.  The set is validated and prepared once
+    ({!Shutdown.Scoring.prepare}); each point then costs one topology
+    pass and one walk over its primary routes.
+    @raise Invalid_argument / [No_feasible_design] as {!run_scenarios}. *)
 
 val rerun_scenarios :
   ?options:Options.t ->

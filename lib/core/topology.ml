@@ -38,6 +38,7 @@ type t = {
   islands : int;
   switches : switch array;
   core_switch : int array;
+  ni_count : int array;  (* NIs per switch, fixed by [create] *)
   links : link Flat.t;  (* dense (src, dst)-indexed adjacency *)
   mutable routes : (Flow.t * int list) list;
   mutable backup_routes : (Flow.t * int list) list;
@@ -89,10 +90,15 @@ let create ~islands ~switches ~core_switch ~flit_bits =
         invalid_arg "Topology.create: core attached to an indirect switch"
       | Island _ -> ())
     core_switch;
+  (* Attachments never change after [create], so the per-switch NI count
+     is built once here and [ni_ports] is an array read. *)
+  let ni_count = Array.make (Array.length switches) 0 in
+  Array.iter (fun sw -> ni_count.(sw) <- ni_count.(sw) + 1) core_switch;
   {
     islands;
     switches;
     core_switch = Array.copy core_switch;
+    ni_count;
     links = Flat.create (Array.length switches);
     routes = [];
     backup_routes = [];
@@ -200,35 +206,68 @@ let commit_flow t flow ~route =
    survive the flow they were opened for. *)
 let zero_bw_mbps = 1e-6
 
+(* Un-charge the flow's bandwidth from every link of the route, in route
+   order, dropping each link whose charge returns to zero; journaled.
+   Returns the dropped links, newest first. *)
+let discharge t flow route =
+  let rec go dropped = function
+    | a :: (b :: _ as rest) -> (
+      match find_link t ~src:a ~dst:b with
+      | Some link ->
+        t.journal <- Bw_set (link, link.bw_mbps) :: t.journal;
+        link.bw_mbps <- link.bw_mbps -. flow.Flow.bandwidth_mbps;
+        if Float.abs link.bw_mbps <= zero_bw_mbps then begin
+          link.bw_mbps <- 0.0;
+          Flat.remove t.links a b;
+          t.journal <- Link_removed link :: t.journal;
+          go (link :: dropped) rest
+        end
+        else go dropped rest
+      | None ->
+        invalid_arg
+          (Printf.sprintf "Topology.remove_flow: missing link %d->%d" a b))
+    | [ _ ] | [] -> dropped
+  in
+  go [] route
+
+let flow_key f = (f.Flow.src, f.Flow.dst)
+
 let remove_flow t flow =
-  let key = (flow.Flow.src, flow.Flow.dst) in
-  let is_entry (f, _) = (f.Flow.src, f.Flow.dst) = key in
+  let key = flow_key flow in
+  let is_entry (f, _) = flow_key f = key in
   match List.find_opt is_entry t.routes with
   | None -> None
   | Some (_, route) ->
     t.journal <- Routes_set t.routes :: t.journal;
     t.routes <- List.filter (fun e -> not (is_entry e)) t.routes;
-    let dropped = ref [] in
-    let rec discharge = function
-      | a :: (b :: _ as rest) ->
-        (match find_link t ~src:a ~dst:b with
-         | Some link ->
-           t.journal <- Bw_set (link, link.bw_mbps) :: t.journal;
-           link.bw_mbps <- link.bw_mbps -. flow.Flow.bandwidth_mbps;
-           if Float.abs link.bw_mbps <= zero_bw_mbps then begin
-             link.bw_mbps <- 0.0;
-             Flat.remove t.links a b;
-             t.journal <- Link_removed link :: t.journal;
-             dropped := link :: !dropped
-           end
-         | None ->
-           invalid_arg
-             (Printf.sprintf "Topology.remove_flow: missing link %d->%d" a b));
-        discharge rest
-      | [ _ ] | [] -> ()
-    in
-    discharge route;
-    Some (route, List.rev !dropped)
+    Some (route, List.rev (discharge t flow route))
+
+(* [remove_flow] of each flow in turn, with one pass over the routes
+   instead of one per flow: every link sees the same subtractions in the
+   same order, so committed bandwidths and dropped links come out
+   identical. *)
+let remove_flows t flows =
+  let first_entry = Hashtbl.create 64 in
+  List.iter
+    (fun ((f, _) as entry) ->
+      let key = flow_key f in
+      if not (Hashtbl.mem first_entry key) then Hashtbl.add first_entry key entry)
+    t.routes;
+  let removed = Hashtbl.create 64 in
+  List.iter
+    (fun flow ->
+      let key = flow_key flow in
+      match Hashtbl.find_opt first_entry key with
+      | Some (_, route) when not (Hashtbl.mem removed key) ->
+        Hashtbl.add removed key ();
+        ignore (discharge t flow route)
+      | Some _ | None -> ())
+    flows;
+  if Hashtbl.length removed > 0 then begin
+    t.journal <- Routes_set t.routes :: t.journal;
+    t.routes <-
+      List.filter (fun (f, _) -> not (Hashtbl.mem removed (flow_key f))) t.routes
+  end
 
 (* Backup routes ride on real links and ports but commit no bandwidth:
    they only carry traffic after a fault, when the primary's charge is
@@ -287,6 +326,7 @@ let copy t =
     islands = t.islands;
     switches = t.switches;
     core_switch = Array.copy t.core_switch;
+    ni_count = t.ni_count;
     links;
     routes = t.routes;
     backup_routes = t.backup_routes;
@@ -302,15 +342,17 @@ let attached_cores t sw =
   done;
   !members
 
-let ni_ports t sw = List.length (attached_cores t sw)
+let ni_ports t sw =
+  check_switch t sw "ni_ports";
+  t.ni_count.(sw)
 
 let in_ports t sw =
   check_switch t sw "in_ports";
-  ni_ports t sw + Flat.in_degree t.links sw
+  t.ni_count.(sw) + Flat.in_degree t.links sw
 
 let out_ports t sw =
   check_switch t sw "out_ports";
-  ni_ports t sw + Flat.out_degree t.links sw
+  t.ni_count.(sw) + Flat.out_degree t.links sw
 
 let arity t sw = max (in_ports t sw) (out_ports t sw)
 

@@ -41,6 +41,10 @@ type t = {
   islands : int;  (** VI count, excluding the intermediate island *)
   switches : switch array;
   core_switch : int array;
+  ni_count : int array;
+      (** NIs attached to each switch, counted once by {!create} from
+          [core_switch] (attachments never change afterwards); read it
+          through {!ni_ports} *)
   links : link Noc_graph.Flat.t;
       (** dense (src, dst)-indexed flat adjacency; use {!find_link} /
           {!links_list} rather than probing directly *)
@@ -101,6 +105,13 @@ val remove_flow : t -> Noc_spec.Flow.t -> (int list * link list) option
     @raise Invalid_argument if the committed route references a missing
     link (corrupted topology). *)
 
+val remove_flows : t -> Noc_spec.Flow.t list -> unit
+(** [List.iter (fun f -> ignore (remove_flow t f)) flows] in one pass
+    over the routes instead of one per flow.  Every link gets the same
+    subtractions in the same order, so committed bandwidths and dropped
+    links are identical.  Journaled like {!remove_flow}.
+    @raise Invalid_argument as {!remove_flow}. *)
+
 val commit_backup : t -> Noc_spec.Flow.t -> route:int list -> unit
 (** Record a backup (protection) route for the flow.  Every hop must be an
     existing link; no bandwidth is charged — a backup only carries traffic
@@ -140,7 +151,7 @@ val attached_cores : t -> int -> int list
 
 val ni_ports : t -> int -> int
 (** Number of NIs attached to a switch (each adds one input and one output
-    port). *)
+    port).  O(1). *)
 
 val in_ports : t -> int -> int
 (** Total input ports: attached NIs + incoming inter-switch links. *)

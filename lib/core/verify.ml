@@ -177,20 +177,20 @@ let check_latency topo push =
              { flow; excess_cycles = latency - flow.Flow.max_latency_cycles }))
     topo.Topology.routes
 
-let check_shutdown vi topo push =
+let push_transits vi topo push entry =
   List.iter
-    (fun (flow, route) ->
-      let si = vi.Vi.of_core.(flow.Flow.src) in
-      let di = vi.Vi.of_core.(flow.Flow.dst) in
-      List.iter
-        (fun sw ->
-          match topo.Topology.switches.(sw).Topology.location with
-          | Topology.Intermediate -> ()
-          | Topology.Island isl ->
-            if isl <> si && isl <> di then
-              push (Shutdown_violation { flow; switch = sw; island = isl }))
-        route)
-    topo.Topology.routes
+    (fun (v : Shutdown.violation) ->
+      push
+        (Shutdown_violation
+           {
+             flow = v.Shutdown.v_flow;
+             switch = v.Shutdown.v_switch;
+             island = v.Shutdown.v_island;
+           }))
+    (Shutdown.route_transits vi topo entry)
+
+let check_shutdown vi topo push =
+  List.iter (push_transits vi topo push) topo.Topology.routes
 
 (* Backup (protection) routes obey every rule a primary does except
    bandwidth accounting (they commit none): real links, right endpoints,
@@ -239,16 +239,7 @@ let check_backups ~require_backups config vi topo push =
          if latency > budget then
            push
              (Latency_violation { flow; excess_cycles = latency - budget }));
-      let si = vi.Vi.of_core.(flow.Flow.src) in
-      let di = vi.Vi.of_core.(flow.Flow.dst) in
-      List.iter
-        (fun sw ->
-          match topo.Topology.switches.(sw).Topology.location with
-          | Topology.Intermediate -> ()
-          | Topology.Island isl ->
-            if isl <> si && isl <> di then
-              push (Shutdown_violation { flow; switch = sw; island = isl }))
-        route)
+      push_transits vi topo push entry)
     topo.Topology.backup_routes;
   if require_backups then begin
     let links_of route =

@@ -111,6 +111,98 @@ let test_golden (_, run, digest, routes) () =
   Alcotest.(check string) "result digest" digest got_digest;
   Alcotest.(check string) "routes md5" routes got_routes
 
+(* Scenario selection pinned the same way: [Synth.run_scenarios] on each
+   paper benchmark with its own scenario set, from cleared tables on one
+   domain.  The signature holds the bits of the weighted power and the
+   union baseline, the winner's index in [union.points], and per
+   evaluation (canonical order) its power's bits, its active and parked
+   flow counts and whether it verified.  Computed before scoring was
+   split into a prepared set and one pass per point. *)
+let selection_signature (sr : Synth.scenarios_result) =
+  let rec index i = function
+    | [] -> -1
+    | p :: rest -> if p == sr.Synth.best then i else index (i + 1) rest
+  in
+  String.concat "; "
+    (Printf.sprintf "weighted %Lx baseline %Lx best #%d"
+       (Int64.bits_of_float sr.Synth.weighted_power_mw)
+       (Int64.bits_of_float sr.Synth.union_baseline_mw)
+       (index 0 sr.Synth.union.Synth.points)
+    :: List.map
+         (fun (e : Synth.scenario_eval) ->
+           Printf.sprintf "%s %Lx %d/%d %s" e.Synth.scenario.Noc_spec.Scenario.name
+             (Int64.bits_of_float e.Synth.power_mw)
+             e.Synth.active_flows e.Synth.parked_flows
+             (if Result.is_ok e.Synth.verified then "verified" else "FAILED"))
+         sr.Synth.evals)
+
+let selection name =
+  let case = Bench_case.find name in
+  Noc_cache.Memo.clear_all ();
+  let options = { Synth.Options.default with Synth.Options.domains = Some 1 } in
+  selection_signature
+    (Synth.run_scenarios ~options Config.default case.Bench_case.soc
+       case.Bench_case.default_vi ~scenarios:case.Bench_case.scenarios)
+
+let selection_fixture =
+  [
+    ( "d12",
+      String.concat "; "
+        [
+          "weighted 4087ca82f0235877 baseline 4087ca82f0235877 best #0";
+          "live_tv 408f9139fc44c9bf 23/5 verified";
+          "recording 40872ccda7e32471 15/13 verified";
+          "standby 407db922ee7f3218 3/25 verified";
+        ] );
+    ( "d16",
+      String.concat "; "
+        [
+          "weighted 408d3b096fc15b91 baseline 408d3b096fc15b91 best #0";
+          "radio_mode 40840c68c6a0d589 9/27 verified";
+          "single_channel 4095d576dfbefba1 29/7 verified";
+          "standby 4080265d6076680a 3/33 verified";
+        ] );
+    ( "d20",
+      String.concat "; "
+        [
+          "weighted 40929377aec4b71c baseline 40929377aec4b71c best #0";
+          "half_load 409451134f2bf726 36/19 verified";
+          "low_traffic 408f766f89122f2a 22/33 verified";
+          "maintenance 407fabd00e47fbc4 7/48 verified";
+        ] );
+    ( "d26",
+      String.concat "; "
+        [
+          "weighted 40954ce0c8b02627 baseline 40954ce0c8b02627 best #9";
+          "camera_record 4095a87ac4b97859 19/49 verified";
+          "full_load 40a481faa13f022f 68/0 verified";
+          "idle_audio 408716255308d5b9 3/65 verified";
+          "phone_call 408b17bd20e81dcf 10/58 verified";
+          "video_playback 409be142bca2f06c 26/42 verified";
+        ] );
+    ( "d36",
+      String.concat "; "
+        [
+          "weighted 40993aca3f4fea79 baseline 40993aca3f4fea79 best #0";
+          "browsing 40a3bc61221f054a 37/50 verified";
+          "music_screen_off 40848959a5217604 11/76 verified";
+          "screen_off_idle 408ad75f9535d1de 8/79 verified";
+          "video_call 40a3027a12c6012f 42/45 verified";
+        ] );
+    ( "d48",
+      String.concat "; "
+        [
+          "weighted 40ab720b637cf281 baseline 40ab720b637cf281 best #25";
+          "daytime 40ae266145be372c 120/21 verified";
+          "maintenance 4096b91081d7d616 25/116 verified";
+          "night_low 40a724d708e77ecd 81/60 verified";
+          "peak 40b0caee03121ac4 141/0 verified";
+        ] );
+  ]
+
+let test_selection (name, expected) () =
+  Alcotest.(check string) "selection signature" expected (selection name)
+
 let () =
   Alcotest.run "noc_golden"
     [
@@ -119,4 +211,9 @@ let () =
           (fun ((name, _, _, _) as entry) ->
             Alcotest.test_case name `Quick (test_golden entry))
           fixture );
+      ( "scenario selection",
+        List.map
+          (fun ((name, _) as entry) ->
+            Alcotest.test_case name `Quick (test_selection entry))
+          selection_fixture );
     ]

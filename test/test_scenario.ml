@@ -24,6 +24,9 @@ module Flow = Noc_spec.Flow
 module Bench_case = Noc_benchmarks.Bench_case
 module D12 = Noc_benchmarks.D12
 module Scenario_impact = Noc_fault.Scenario_impact
+module Topology = Noc_synthesis.Topology
+module Synth_gen = Noc_benchmarks.Synth_gen
+module Oracle = Scenario_oracle
 
 let config = Config.default
 let checkb = Alcotest.(check bool)
@@ -408,6 +411,223 @@ let test_scenario_impact () =
         || i.Scenario_impact.gated = []))
     impacts
 
+(* ---------- one-pass scoring = the per-island oracle ---------- *)
+
+type scoring_input = {
+  label : string;
+  in_config : Config.t;
+  in_soc : Soc_spec.t;
+  in_vi : Vi.t;
+  points : DP.t list;
+}
+
+let saved_points ?(protect = false) ?(config = config) label soc vi =
+  lazy
+    (let options = { options with Synth.Options.protect } in
+     let r = Synth.run ~options config soc vi in
+     { label; in_config = config; in_soc = soc; in_vi = vi; points = r.Synth.points })
+
+let bench_points ?protect name =
+  let case = Bench_case.find name in
+  saved_points ?protect name case.Bench_case.soc case.Bench_case.default_vi
+
+let gen64 =
+  let soc = Synth_gen.generate ~seed:1 { Synth_gen.default_profile with cores = 64 } in
+  saved_points "gen64 pipelined"
+    ~config:{ config with Config.allow_link_pipelining = true }
+    soc
+    (Synth_gen.random_vi ~seed:1 ~islands:4 soc)
+
+let d26_points = bench_points "d26"
+
+(* d26's first saved point on a copy of its topology with one flow
+   rerouted through a switch of a shutdownable third island, the way
+   test_synthesis's checker test sabotages a route.  Returns the point,
+   the flow's two endpoint islands and the third island. *)
+let injected_transit () =
+  let input = Lazy.force d26_points in
+  let vi = input.in_vi in
+  let point = List.hd input.points in
+  let topo = Topology.copy point.DP.topology in
+  let pick (flow, _) =
+    let si = vi.Vi.of_core.(flow.Flow.src) and di = vi.Vi.of_core.(flow.Flow.dst) in
+    List.find_map
+      (fun third ->
+        if third <> si && third <> di && vi.Vi.shutdownable.(third) then
+          match Topology.switches_of_location topo (Topology.Island third) with
+          | sw :: _ -> Some (flow, si, di, third, sw.Topology.sw_id)
+          | [] -> None
+        else None)
+      (List.init vi.Vi.islands Fun.id)
+  in
+  let flow, si, di, third, foreign =
+    match List.find_map pick topo.Topology.routes with
+    | Some found -> found
+    | None -> Alcotest.fail "d26 has no flow to sabotage"
+  in
+  let ss = topo.Topology.core_switch.(flow.Flow.src) in
+  let ds = topo.Topology.core_switch.(flow.Flow.dst) in
+  topo.Topology.routes <-
+    List.map
+      (fun (f, r) -> if f == flow then (f, [ ss; foreign; ds ]) else (f, r))
+      topo.Topology.routes;
+  ({ point with DP.topology = topo }, si, di, third)
+
+let transit_points =
+  lazy
+    (let input = Lazy.force d26_points in
+     let point, _, _, _ = injected_transit () in
+     { input with label = "d26 injected transit"; points = [ point ] })
+
+let scoring_inputs =
+  [|
+    bench_points "d12";
+    d26_points;
+    bench_points "d36";
+    bench_points ~protect:true "d26";
+    gen64;
+    transit_points;
+  |]
+
+(* A random valid scenario set: each scenario uses the cores of a random
+   non-empty subset of islands, thinned and with the odd stray core, so
+   many islands are gated; duties sum below 1; names are distinct and the
+   list is not in canonical order. *)
+let random_scenarios rng soc vi =
+  let cores = Soc_spec.core_count soc in
+  let k = 1 + Random.State.int rng 4 in
+  let names =
+    List.sort_uniq compare (List.init (k + 4) (fun _ -> Random.State.int rng 100))
+    |> List.filteri (fun i _ -> i < k)
+    |> List.map (Printf.sprintf "m%02d")
+  in
+  let scenario name =
+    let active = Array.init vi.Vi.islands (fun _ -> Random.State.bool rng) in
+    active.(Random.State.int rng vi.Vi.islands) <- true;
+    let used =
+      List.filter
+        (fun core ->
+          (active.(vi.Vi.of_core.(core)) && Random.State.int rng 5 > 0)
+          || Random.State.int rng 20 = 0)
+        (List.init cores Fun.id)
+    in
+    let used = if used = [] then [ Random.State.int rng cores ] else used in
+    Scenario.make ~name ~used ~cores
+      ~duty:(Random.State.float rng 1.0 /. float_of_int (List.length names))
+  in
+  let shuffled = Array.of_list (List.map scenario names) in
+  for i = Array.length shuffled - 1 downto 1 do
+    let j = Random.State.int rng (i + 1) in
+    let t = shuffled.(i) in
+    shuffled.(i) <- shuffled.(j);
+    shuffled.(j) <- t
+  done;
+  Array.to_list shuffled
+
+let bits = Int64.bits_of_float
+
+let report_bits (r : Shutdown.report) =
+  ( List.map
+      (fun (row : Shutdown.scenario_row) ->
+        ( row.Shutdown.scenario.Scenario.name,
+          row.Shutdown.gated,
+          bits row.Shutdown.power_without_shutdown_mw,
+          bits row.Shutdown.power_with_shutdown_mw,
+          bits row.Shutdown.savings_fraction ))
+      r.Shutdown.rows,
+    bits r.Shutdown.weighted_savings_fraction,
+    bits r.Shutdown.weighted_power_mw,
+    bits r.Shutdown.full_power_mw )
+
+let verdict = function
+  | Ok () -> []
+  | Error vs ->
+    List.map
+      (fun (v : Shutdown.violation) ->
+        ( v.Shutdown.v_flow.Flow.src,
+          v.Shutdown.v_flow.Flow.dst,
+          v.Shutdown.v_switch,
+          v.Shutdown.v_island ))
+      vs
+
+(* Every per-island leakage, report row, weighted power and survives
+   verdict of every saved point equals the oracle's, bit for bit. *)
+let scoring_agrees input scenarios =
+  let { label; in_config = config; in_soc = soc; in_vi = vi; points } = input in
+  let scoring = Shutdown.Scoring.prepare config soc vi ~scenarios in
+  List.iteri
+    (fun i p ->
+      let topo = p.DP.topology in
+      let fail what = QCheck.Test.fail_reportf "%s point %d: %s" label i what in
+      let leak = Shutdown.island_noc_leakages config vi topo in
+      for island = 0 to vi.Vi.islands - 1 do
+        let expected = bits (Oracle.island_noc_leakage_mw config vi topo ~island) in
+        if bits leak.(island) <> expected
+           || bits (Shutdown.island_noc_leakage_mw config vi topo ~island) <> expected
+        then fail (Printf.sprintf "island %d leakage" island)
+      done;
+      let expected = Oracle.leakage_report config soc vi p ~scenarios in
+      if report_bits (Shutdown.leakage_report config soc vi p ~scenarios)
+         <> report_bits expected
+      then fail "leakage_report";
+      if report_bits (Shutdown.Scoring.report scoring p) <> report_bits expected
+      then fail "Scoring.report";
+      let w = bits expected.Shutdown.weighted_power_mw in
+      if bits (Shutdown.weighted_power_mw config soc vi p ~scenarios) <> w
+         || bits (Shutdown.Scoring.weighted_power_mw scoring p) <> w
+      then fail "weighted_power_mw";
+      let survives_all =
+        List.for_all
+          (fun s ->
+            let gated = Scenario.gated_islands s vi in
+            let expected = Oracle.survives_gating vi topo ~gated in
+            if verdict (Shutdown.survives_gating vi topo ~gated) <> verdict expected
+            then fail ("survives_gating in " ^ s.Scenario.name);
+            Result.is_ok expected)
+          scenarios
+      in
+      if Shutdown.Scoring.survives scoring topo <> survives_all then
+        fail "Scoring.survives")
+    points;
+  true
+
+let prop_scoring_matches_oracle =
+  QCheck.Test.make ~name:"one-pass scoring = per-island oracle, bit for bit"
+    ~count:30
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Random.State.make [| seed; 0x0ac1e |] in
+      let input =
+        Lazy.force
+          scoring_inputs.(Random.State.int rng (Array.length scoring_inputs))
+      in
+      scoring_agrees input (random_scenarios rng input.in_soc input.in_vi))
+
+(* The rejecting branch, pinned: a scenario that gates the injected
+   transit's island but neither endpoint island breaks the flow, and the
+   library says so exactly as the oracle does. *)
+let test_injected_transit () =
+  let input = Lazy.force transit_points in
+  let vi = input.in_vi and soc = input.in_soc in
+  let point, si, di, third = injected_transit () in
+  let topo = point.DP.topology in
+  let expected = Oracle.survives_gating vi topo ~gated:[ third ] in
+  checkb "the oracle sees the transit" true (Result.is_error expected);
+  checkb "survives_gating = oracle" true
+    (verdict (Shutdown.survives_gating vi topo ~gated:[ third ]) = verdict expected);
+  let endpoints_only =
+    Scenario.make ~name:"endpoints" ~cores:(Soc_spec.core_count soc) ~duty:0.5
+      ~used:(Vi.cores_of_island vi si @ Vi.cores_of_island vi di)
+  in
+  checkb "the scenario gates the third island" true
+    (List.mem third (Scenario.gated_islands endpoints_only vi));
+  let scoring =
+    Shutdown.Scoring.prepare config soc vi ~scenarios:[ endpoints_only ]
+  in
+  checkb "Scoring.survives rejects the sabotaged point" false
+    (Shutdown.Scoring.survives scoring topo);
+  ignore (scoring_agrees input [ endpoints_only ])
+
 let () =
   let qt = QCheck_alcotest.to_alcotest ~speed_level:`Quick in
   Alcotest.run "noc_scenario"
@@ -442,5 +662,11 @@ let () =
           Alcotest.test_case "scenario impact contracts" `Quick
             test_scenario_impact;
           qt prop_permutation_invariance;
+        ] );
+      ( "oracle",
+        [
+          Alcotest.test_case "injected third-island transit" `Quick
+            test_injected_transit;
+          qt prop_scoring_matches_oracle;
         ] );
     ]

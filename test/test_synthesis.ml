@@ -144,6 +144,44 @@ let test_topology_create_validation () =
         ~switches:[| sw 0 (Topology.Island 3) |]
         ~core_switch:[||] ~flit_bits:32)
 
+(* [ni_ports] reads a count built once by [Topology.create]; it must
+   equal the attachment list it replaced, on every switch of every saved
+   point and of the point's [Topology.copy], which shares the count. *)
+let test_ni_ports_match_attachments () =
+  let check_topo label topo =
+    Array.iter
+      (fun sw ->
+        let id = sw.Topology.sw_id in
+        let expected = List.length (Topology.attached_cores topo id) in
+        if Topology.ni_ports topo id <> expected then
+          Alcotest.failf "%s sw%d: ni_ports %d, attached cores %d" label id
+            (Topology.ni_ports topo id) expected)
+      topo.Topology.switches
+  in
+  let check_sweep label config soc vi =
+    let options = { Synth.Options.default with Synth.Options.domains = Some 1 } in
+    let r = Synth.run ~options config soc vi in
+    checkb (label ^ " saves points") true (r.Synth.points <> []);
+    List.iteri
+      (fun i p ->
+        let topo = p.Design_point.topology in
+        let label = Printf.sprintf "%s point %d" label i in
+        check_topo label topo;
+        check_topo (label ^ " copy") (Topology.copy topo))
+      r.Synth.points
+  in
+  let case = Noc_benchmarks.Bench_case.find "d26" in
+  check_sweep "d26" config case.Noc_benchmarks.Bench_case.soc
+    case.Noc_benchmarks.Bench_case.default_vi;
+  let soc =
+    Noc_benchmarks.Synth_gen.generate ~seed:1
+      { Noc_benchmarks.Synth_gen.default_profile with cores = 64 }
+  in
+  check_sweep "gen64 pipelined"
+    { config with Config.allow_link_pipelining = true }
+    soc
+    (Noc_benchmarks.Synth_gen.random_vi ~seed:1 ~islands:4 soc)
+
 let test_topology_links_and_ports () =
   let t = mk_topology () in
   (* two cores on sw0 give it 2 NI inputs and outputs *)
@@ -268,6 +306,67 @@ let observe t =
       (Array.length t.Topology.switches)
       (fun i -> (Topology.in_ports t i, Topology.out_ports t i)),
     List.map (fun (f, r) -> ((f.Flow.src, f.Flow.dst), r)) t.Topology.routes )
+
+(* [remove_flows] is [remove_flow] over the list, in one pass: on saved
+   d26 points and random flow subsets (duplicates, partial charges and
+   an unrouted flow included), committed bandwidths (to the bit), links,
+   ports and routes agree, and a rollback restores the point. *)
+let d26_points =
+  lazy
+    (let case = Noc_benchmarks.Bench_case.find "d26" in
+     (Synth.run config case.Noc_benchmarks.Bench_case.soc
+        case.Noc_benchmarks.Bench_case.default_vi)
+       .Synth.points)
+
+let prop_remove_flows_is_remove_flow_each =
+  QCheck.Test.make ~name:"remove_flows = remove_flow on each flow" ~count:40
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Random.State.make [| seed; 0x4e30 |] in
+      let points = Array.of_list (Lazy.force d26_points) in
+      let topo =
+        points.(Random.State.int rng (Array.length points)).Design_point.topology
+      in
+      let flows = List.map fst topo.Topology.routes in
+      let routed a b =
+        List.exists (fun f -> f.Flow.src = a && f.Flow.dst = b) flows
+      in
+      let unrouted =
+        let cores = Array.length topo.Topology.core_switch in
+        List.init cores (fun a -> List.init cores (fun b -> (a, b)))
+        |> List.concat
+        |> List.find (fun (a, b) -> a <> b && not (routed a b))
+      in
+      (* half the picks un-charge an odd fraction of the flow's
+         bandwidth, so the result depends on the order of subtractions *)
+      let pick f =
+        if Random.State.bool rng then f
+        else
+          Flow.make ~src:f.Flow.src ~dst:f.Flow.dst
+            ~bw:(f.Flow.bandwidth_mbps *. Random.State.float rng 1.0)
+            ~lat:f.Flow.max_latency_cycles
+      in
+      let picked =
+        List.map pick
+          (List.filter (fun _ -> Random.State.bool rng) flows
+          @ List.filter (fun _ -> Random.State.int rng 8 = 0) flows)
+        @ [ Flow.make ~src:(fst unrouted) ~dst:(snd unrouted) ~bw:1.0 ~lat:30 ]
+      in
+      let bits_observe t =
+        let links, ports, routes = observe t in
+        ( List.map
+            (fun (a, b, bw, stages) -> (a, b, Int64.bits_of_float bw, stages))
+            links,
+          ports,
+          routes )
+      in
+      let each = Topology.copy topo and batch = Topology.copy topo in
+      List.iter (fun f -> ignore (Topology.remove_flow each f)) picked;
+      let cp = Topology.checkpoint batch in
+      Topology.remove_flows batch picked;
+      let same = bits_observe each = bits_observe batch in
+      Topology.rollback batch cp;
+      same && bits_observe batch = bits_observe topo)
 
 let prop_rollback_restores_topology =
   QCheck.Test.make
@@ -748,6 +847,8 @@ let () =
         [
           Alcotest.test_case "validation" `Quick test_topology_create_validation;
           Alcotest.test_case "links and ports" `Quick test_topology_links_and_ports;
+          Alcotest.test_case "ni_ports = attached cores on sweeps" `Quick
+            test_ni_ports_match_attachments;
           Alcotest.test_case "routes" `Quick test_topology_routes;
           Alcotest.test_case "single switch latency" `Quick
             test_topology_single_switch_latency;
@@ -761,6 +862,7 @@ let () =
           Alcotest.test_case "invalid checkpoints" `Quick
             test_rollback_invalid_checkpoint;
           qt prop_rollback_restores_topology;
+          qt prop_remove_flows_is_remove_flow_each;
         ] );
       ( "path allocation",
         [
