@@ -20,8 +20,11 @@
                                            # d36/d48, writes BENCH_sweep.json
      dune exec bench/main.exe -- scale     # routing core at d48/d128/d256:
                                            # wall clock, candidates/s, minor
-                                           # words/candidate; every rep must
-                                           # reproduce the first (gated),
+                                           # words/candidate, hop costs per
+                                           # search; every rep must
+                                           # reproduce the first and d128's
+                                           # words/candidate stay under a
+                                           # committed bound (gated),
                                            # writes BENCH_scale.json
      dune exec bench/main.exe -- delta     # incremental re-synthesis: rerun
                                            # vs fresh per delta kind on d36,
@@ -626,35 +629,49 @@ let sweep () =
 (* ---------------- EXP-SCALE: the routing core at scale ---------------- *)
 
 (* Whole synthesis sweeps on one domain at d48, d128 and d256: the best
-   wall time over a few reps, candidates/s, and minor words per candidate
+   wall time over a few reps, candidates/s, minor words per candidate
    (from the [synth.run.minor_words] counter of the last rep — sequential
-   runs, so the Gc delta is attributable).  Every rep starts from cold
-   process-wide tables.  Gate: every rep reproduces the first rep's full
-   [result_signature].  No speed gate: the parent-vs-change comparison
-   belongs to perfbench's [cold] workload, which interleaves both builds
-   on one host, while a bound against committed figures would trip on
-   host drift alone. *)
+   runs, so the Gc delta is attributable), hop costs per A* search (the
+   [path_alloc.hop_costs] and [path_alloc.searches] counters) and the
+   result digest.  Every rep starts from cold process-wide tables.
+   Gates: every rep reproduces the first rep's full [result_signature],
+   and d128 allocates at most [scale_words_budget] minor words per
+   candidate.  No speed gate: the parent-vs-change comparison belongs to
+   perfbench's [cold] workload, which interleaves both builds on one
+   host, while a bound against committed figures would trip on host
+   drift alone.  A count cannot drift with the host. *)
+
+(* d128 may allocate at most this many minor words per candidate.  The
+   closed-form hop kernel reads ~174k; the per-state hop memo it replaced
+   read ~758k. *)
+let scale_words_budget = 225_000.0
+
 let scale () =
   section
     "EXP-SCALE: routing core at d48/d128/d256 (writes BENCH_scale.json; \
-     every rep must reproduce the first)";
+     every rep must reproduce the first, d128 allocation gated)";
   let gate_failed = ref false in
   let rows = ref [] in
   let options = { Synth.Options.default with Synth.Options.domains = Some 1 } in
-  Printf.printf "%-6s %5s %9s %11s %12s  %s\n" "bench" "reps" "best s"
-    "cand/s" "words/cand" "reps agree";
+  let counter = Noc_exec.Metrics.counter_value in
+  Printf.printf "%-6s %5s %9s %11s %12s %11s  %-32s  %s\n" "bench" "reps"
+    "best s" "cand/s" "words/cand" "hops/search" "result digest" "reps agree";
   let measure name ~min_reps ~max_reps ~budget_s =
     let case = Bench_case.find name in
-    let words = ref 0 in
+    let words = ref 0 and hops = ref 0 and searches = ref 0 in
     let one () =
       Noc_cache.Memo.clear_all ();
-      let w0 = Noc_exec.Metrics.counter_value "synth.run.minor_words" in
+      let w0 = counter "synth.run.minor_words" in
+      let h0 = counter "path_alloc.hop_costs" in
+      let s0 = counter "path_alloc.searches" in
       let t, r =
         wall (fun () ->
             Synth.run ~options config case.Bench_case.soc
               case.Bench_case.default_vi)
       in
-      words := Noc_exec.Metrics.counter_value "synth.run.minor_words" - w0;
+      words := counter "synth.run.minor_words" - w0;
+      hops := counter "path_alloc.hop_costs" - h0;
+      searches := counter "path_alloc.searches" - s0;
       (t, r)
     in
     let side =
@@ -663,13 +680,25 @@ let scale () =
     in
     let cands = side.Harness.first.Synth.candidates_tried in
     let per_cand = float_of_int !words /. float_of_int (max cands 1) in
+    let per_search = float_of_int !hops /. float_of_int (max !searches 1) in
+    let digest = Noc_serve.Serve.Codec.result_digest side.Harness.first in
     let reps = List.length side.Harness.times in
-    Printf.printf "%-6s %5d %9.3f %11.0f %12.0f  %s\n%!" name reps
+    Printf.printf "%-6s %5d %9.3f %11.0f %12.0f %11.1f  %-32s  %s\n%!" name reps
       side.Harness.best_s
       (float_of_int cands /. side.Harness.best_s)
-      per_cand
+      per_cand per_search digest
       (if side.Harness.reproducible then "yes" else "MISMATCH");
-    if not side.Harness.reproducible then gate_failed := true;
+    if not side.Harness.reproducible then begin
+      Printf.printf "FAIL: EXP-SCALE %s: a rep differs from the first\n" name;
+      gate_failed := true
+    end;
+    if name = "d128" && per_cand > scale_words_budget then begin
+      Printf.printf
+        "FAIL: EXP-SCALE d128 allocates %.0f minor words per candidate \
+         (gate: %.0f)\n"
+        per_cand scale_words_budget;
+      gate_failed := true
+    end;
     rows :=
       J.Obj
         [
@@ -679,6 +708,9 @@ let scale () =
           ("candidates", J.Int cands);
           ("candidates_per_s", J.Float (float_of_int cands /. side.Harness.best_s));
           ("minor_words_per_candidate", J.Float per_cand);
+          ("searches", J.Int !searches);
+          ("hop_costs_per_search", J.Float per_search);
+          ("result_digest", J.String digest);
           ("reproducible", J.Bool side.Harness.reproducible);
         ]
       :: !rows
@@ -691,11 +723,11 @@ let scale () =
   measure "d128" ~min_reps:3 ~max_reps:3 ~budget_s:0.0;
   measure "d256" ~min_reps:2 ~max_reps:2 ~budget_s:0.0;
   Harness.write_json "BENCH_scale.json" ~kind:"bench_scale"
-    [ ("rows", J.List (List.rev !rows)) ];
-  if !gate_failed then begin
-    Printf.printf "FAIL: EXP-SCALE gate (a rep differs from the first)\n";
-    exit 1
-  end
+    [
+      ("d128_words_budget", J.Float scale_words_budget);
+      ("rows", J.List (List.rev !rows));
+    ];
+  if !gate_failed then exit 1
 
 (* ---------------- EXP-DELTA: incremental re-synthesis ---------------- *)
 

@@ -2,10 +2,12 @@ module Flow = Noc_spec.Flow
 module Soc_spec = Noc_spec.Soc_spec
 module Vi = Noc_spec.Vi
 module Units = Noc_models.Units
+module Tech = Noc_models.Tech
 module Switch_model = Noc_models.Switch_model
 module Link_model = Noc_models.Link_model
 module Sync_model = Noc_models.Sync_model
 module Astar = Noc_graph.Astar
+module Flat = Noc_graph.Flat
 module Geometry = Noc_floorplan.Geometry
 module Metrics = Noc_exec.Metrics
 
@@ -45,101 +47,40 @@ let mask_union a b =
 
 type engine = Flat
 
-(* Scratch cell the hop kernel writes into.  An all-float record is
-   stored flat (fields unboxed), so a kernel call allocates nothing. *)
-type hop_out = { mutable out_power : float; mutable out_latency : float }
-
-(* The hop-energy memo, laid out for the search's inner loop: directly
-   indexed slots — no hashing, no allocation — holding the
-   flow-independent cost factors, each tagged with the inputs it was
-   computed from (a slot whose tag no longer matches is recomputed and
-   overwritten).  The factors are cached separately because they drift at
-   very different rates: the wire part of a hop (link, converter and
-   register energy, standing power, latency) is pure in the fixed
-   geometry and [stages], which is constant per (is_new, u, v) pair in
-   practice — while the switch-traversal part depends on v's live port
-   counts, which change every time routing opens a link.  Coupling them
-   under one tag would throw away the expensive wire model on every port
-   drift. *)
-type hop_cache = {
-  wire_tag : int array;
-      (* (memo_epoch lsl 16) lor stages, or -1 cold — per (is_new, u, v).
-         Pipeline stages are a handful of registers on a die-scale wire,
-         far below 2^16, so the epoch field never aliases. *)
-  wire_energy : float array;  (* energy_pj of the wire part of the hop *)
-  wire_standing : float array; (* standing mW of opening the link *)
-  wire_latency : float array; (* hop latency in cycles, as the search uses it *)
-  sw_tag : int array;
-      (* (memo_epoch lsl 20) lor packed ports, or -1 cold — per (is_new, v);
-         the port packing is 20 bits by construction *)
-  sw_energy : float array;    (* energy_pj of traversing switch v *)
+(* One search's flow-dependent constants, rewritten before each search.
+   An all-float record is stored flat, so rewriting it allocates
+   nothing and the hop kernel reads the fields unboxed. *)
+type search = {
+  mutable bw : float;        (* the flow's MB/s *)
+  mutable rate : float;      (* its flits/s *)
+  mutable beta : float;      (* power's share of the relax weight *)
+  mutable p_norm : float;    (* [reference_hop_power_mw] of the flow *)
+  mutable lat_norm : float;  (* its latency budget, cycles *)
+  mutable floor : float;     (* A*'s constant heuristic: min w(u, target) *)
+  (* The lower-bound skip's coefficients (see [expand_node]); all 0 when
+     the weight's terms are not all non-negative, which disables it. *)
+  mutable lb_switch : float;   (* per pJ of switch traversal energy *)
+  mutable lb_latency : float;  (* the 3-cycle minimum hop latency *)
+  mutable lb_open : float;     (* per mW of a new link's standing power *)
+  mutable open_energy : float; (* the opening penalty's mW at this rate *)
 }
 
-(* Per-domain pool for the O(n²) memo arrays above.  A sweep calls
-   [route_all] once per candidate, and a fresh [make_state] used to push
-   five major-heap arrays per call — at d48 the resulting GC pressure
-   (marking + sweeping) cost more than the routing itself.  [route_all]
-   states are strictly scoped to one call on one domain, so they borrow
-   the domain's scratch instead: reuse just bumps [sc_epoch], which every
-   memo tag carries — all stored entries go stale in O(1), with no
-   per-candidate refill at all (value arrays are tag-gated and need no
-   reset).  The A* search arena rides along for the same reason: one
-   live search per domain.  Sessions outlive their creating call and may
-   overlap arbitrarily, so they never pool. *)
-type scratch = {
-  mutable sc_cap : int; (* node count the arrays are sized for *)
-  mutable sc_epoch : int;
-      (* current borrower's epoch, baked into every memo tag
-         ([state.memo_epoch]); bumping it on reuse invalidates all stored
-         entries in O(1) — no O(n²) refill per candidate *)
-  mutable sc_wire_tag : int array;
-  mutable sc_wire_energy : float array;
-  mutable sc_wire_standing : float array;
-  mutable sc_wire_latency : float array;
-  mutable sc_sw_tag : int array;
-  mutable sc_sw_energy : float array;
-  mutable sc_new_stages : int array;
-  sc_arena : Astar.arena;
-      (* the domain's reusable search arena — internally epoch-stamped,
-         so hand-off between borrowers needs no reset either *)
+(* Per-call search counters, flushed to Metrics once per [route_all] or
+   session call: the global counters' mutex must not be taken per hop. *)
+type counts = {
+  mutable searches : int;
+  mutable hop_costs : int;  (* kernel evaluations, floor pass included *)
+  mutable hop_skips : int;  (* hops dropped by the lower-bound skip *)
 }
-
-let scratch_key =
-  Domain.DLS.new_key (fun () ->
-      {
-        sc_cap = 0;
-        sc_epoch = 0;
-        sc_wire_tag = [||];
-        sc_wire_energy = [||];
-        sc_wire_standing = [||];
-        sc_wire_latency = [||];
-        sc_sw_tag = [||];
-        sc_sw_energy = [||];
-        sc_new_stages = [||];
-        sc_arena = Astar.create ();
-      })
-
-let borrow_scratch n =
-  let sc = Domain.DLS.get scratch_key in
-  (* epoch 0 is reserved for unpooled states, whose arrays start -1-filled *)
-  sc.sc_epoch <- sc.sc_epoch + 1;
-  if n > sc.sc_cap then begin
-    let cap = max n (2 * sc.sc_cap) in
-    sc.sc_cap <- cap;
-    sc.sc_wire_tag <- Array.make (2 * cap * cap) (-1);
-    sc.sc_wire_energy <- Array.make (2 * cap * cap) 0.0;
-    sc.sc_wire_standing <- Array.make (2 * cap * cap) 0.0;
-    sc.sc_wire_latency <- Array.make (2 * cap * cap) 0.0;
-    sc.sc_sw_tag <- Array.make (2 * cap) (-1);
-    sc.sc_sw_energy <- Array.make (2 * cap) 0.0;
-    sc.sc_new_stages <- Array.make (cap * cap) (-1)
-  end;
-  sc
 
 (* Mutable routing state: port counters are maintained incrementally because
    recounting them from the link table inside the search would be
-   quadratic. *)
+   quadratic.  The hop model's constants are fixed per state: switch
+   locations, positions, supplies and clocks never change under routing,
+   so everything the kernel reads apart from the port counts, the link
+   table and the flow is tabulated here once. *)
 type state = {
+  config : Config.t;
   topo : Topology.t;
   n : int;  (* switch count: node ids of the search graph are [0, n) *)
   mask : mask;  (* switches/links the search must neither reuse nor open *)
@@ -151,42 +92,84 @@ type state = {
   out_to_inter : bool array;
       (* direct switch already owns a link towards the intermediate VI *)
   in_from_inter : bool array;
-  hop_cache : hop_cache option;
-      (* direct-indexed (energy_pj, standing_mw) per (is_new, u, v) hop,
-         tag-validated against the evolving (stages, ports) inputs — see
-         [hop_kernel].  Local to this state (one domain), no lock. *)
-  new_stages : int array option;
-      (* pipeline stages of a prospective u->v link, encoded
-         [(memo_epoch lsl 16) lor stages] ([-1] cold) — pure in
-         the fixed geometry and u's clock, so one manhattan/stage model
-         evaluation per pair instead of one per search probe. *)
-  memo_epoch : int;
-      (* epoch baked into this state's [hop_cache]/[new_stages] tags: a
-         pooled state inherits the scratch arrays without clearing them,
-         and the fresh epoch makes every stale entry miss.  0 for
-         unpooled states (whose arrays start cold-filled). *)
-  allowed_memo : (int, int array) Hashtbl.t option;
-      (* ascending switch ids admissible for an (si, di) flow — a pure
-         function of the fixed switch locations.  Fault masks are checked
-         per lookup, never baked in, so states sharing these tables across
-         a mask change ([route_backup]) stay correct. *)
-  hop_hits : int ref;   (* flushed to Metrics in batch: the global counter *)
-  hop_misses : int ref; (* mutex must not be taken per search edge *)
+  loc : int array;
+      (* per switch: its island id, or [inter] for the intermediate VI —
+         what the admissibility tests read, and the row of the
+         per-location tables below *)
+  inter : int;  (* the intermediate VI's location: the island count *)
+  allowed_memo : int array array;
+      (* per (si, di) flow islands: the ascending switch ids the flow may
+         visit, [||] until first asked — a pure function of the fixed
+         switch locations.  Fault masks are checked per lookup, never
+         baked in, so states sharing these tables across a mask change
+         ([route_backup]) stay correct. *)
   arena : Astar.arena;
-      (* the reusable search arena (dist/pred/heap scratch); shared by
-         design with the functional-update copies [route_backup_with]
-         makes — one domain, one search at a time *)
-  hop_out : hop_out;  (* the hop kernel's scratch cell *)
-  island : int array;
-      (* per switch: its island id, or -1 for the intermediate VI.  Switch
-         locations are fixed for the lifetime of a topology, so the
-         admissibility tests read this flat copy instead of chasing
-         [switches.(s).location] per probe. *)
+      (* the reusable search arena; shared by design with the
+         functional-update copies [route_backup_with] makes — one domain,
+         one search at a time *)
+  (* ---- the hop model's constants ---- *)
+  locs : int;  (* islands + 1 *)
+  px : float array;  (* switch positions, mm *)
+  py : float array;
+  energy_scale : float array;  (* per switch: [Tech.energy_scale] at its vdd *)
+  register_pj : float array;   (* per switch: one pipeline register's pJ/flit *)
+  port_clock_mw : float array; (* per switch: one port's clock power *)
+  budget_mm : float array;
+      (* per switch: the unpipelined length budget of a link it drives,
+         [infinity] when pipelining is off (a new link then has 0 stages) *)
+  sync_pj : float array;
+      (* per (loc u, loc v): the converter's pJ/flit, 0 inside one location *)
+  sync_mw : float array;
+      (* per (loc u, loc v): the converter's leakage and clock power *)
+  arity_cap : int;  (* largest arity [switch_pj] tabulates *)
+  switch_pj : float array;
+      (* per (loc, arity): switch traversal pJ/flit, rows of
+         [arity_cap + 1] *)
+  wire_pj_per_mm_bit : float;
+  toggling_bits : float;  (* the wire model's half-toggling flit *)
+  open_pj : float;  (* [Config.new_link_penalty_pj] *)
+  to_target : float array;
+      (* per switch, written by the floor pass of the current search:
+         the weight of hop u->target, [infinity] when inadmissible *)
+  search : search;
+  counts : counts;
 }
 
-let make_state ?(mask = no_mask) ?(cache = true) ?(pooled = false) config
-    topo ~clocks =
-  let n = Array.length topo.Topology.switches in
+(* The per-domain pooled search arena: [route_all] states are strictly
+   scoped to one call on one domain, so they borrow it instead of
+   allocating fresh arrays per candidate.  The arena is epoch-stamped
+   internally, so hand-off between borrowers needs no reset.  Sessions
+   outlive their creating call and may overlap, so they never pool. *)
+let arena_key = Domain.DLS.new_key Astar.create
+
+(* The location (island id, or [islands] for the intermediate VI) whose
+   supply and clock a switch shares. *)
+let location_index islands sw =
+  match sw.Topology.location with
+  | Topology.Island isl -> isl
+  | Topology.Intermediate -> islands
+
+let port_clock_mw tech sw =
+  Units.power_mw_of_energy
+    ~energy_pj:(1.0 *. Tech.energy_scale tech ~vdd:sw.Topology.vdd)
+    ~events_per_second:(sw.Topology.freq_mhz *. 1e6)
+
+let switch_energy_pj config ~flit_bits ~vdd arity =
+  Switch_model.energy_per_flit_pj config.Config.tech
+    {
+      Switch_model.inputs = arity;
+      outputs = arity;
+      flit_bits;
+      buffer_depth = config.Config.buffer_depth;
+    }
+    ~vdd
+
+let make_state ?(mask = no_mask) ?(pooled = false) config topo ~clocks =
+  let tech = config.Config.tech in
+  let switches = topo.Topology.switches in
+  let n = Array.length switches in
+  let islands = topo.Topology.islands in
+  let flit_bits = topo.Topology.flit_bits in
   let inter = lazy (Freq_assign.intermediate_clock config clocks) in
   let arity_of sw =
     match sw.Topology.location with
@@ -196,85 +179,145 @@ let make_state ?(mask = no_mask) ?(cache = true) ?(pooled = false) config
   let capacity_of sw =
     config.Config.link_utilization_cap
     *. Units.bandwidth_mbps_of_frequency ~freq_mhz:sw.Topology.freq_mhz
-         ~flit_bits:topo.Topology.flit_bits
+         ~flit_bits
   in
   let has_indirect =
-    Array.exists
-      (fun sw -> sw.Topology.location = Topology.Intermediate)
-      topo.Topology.switches
+    Array.exists (fun sw -> sw.Topology.location = Topology.Intermediate) switches
   in
-  let pooled_sc = if cache && pooled then Some (borrow_scratch n) else None in
+  let max_arity = Array.map arity_of switches in
+  let in_ports = Array.init n (fun sw -> Topology.in_ports topo sw) in
+  let out_ports = Array.init n (fun sw -> Topology.out_ports topo sw) in
+  (* Every switch of a location shares its supply and clock, which is
+     what lets the converter and switch energies be tabulated per
+     location.  Check it rather than assume it. *)
+  let locs = islands + 1 in
+  let loc = Array.map (location_index islands) switches in
+  let rep = Array.make locs None in
+  Array.iter
+    (fun sw ->
+      let l = location_index islands sw in
+      match rep.(l) with
+      | None -> rep.(l) <- Some sw
+      | Some r ->
+        if
+          not
+            (Float.equal r.Topology.vdd sw.Topology.vdd
+            && Float.equal r.Topology.freq_mhz sw.Topology.freq_mhz)
+        then
+          invalid_arg
+            (Printf.sprintf
+               "Path_alloc: switch %d disagrees with switch %d of its \
+                location on supply or clock"
+               sw.Topology.sw_id r.Topology.sw_id))
+    switches;
+  let pair_table f =
+    Array.init (locs * locs) (fun i ->
+        let a = i / locs and b = i mod locs in
+        match (rep.(a), rep.(b)) with
+        | Some sa, Some sb when a <> b -> f sa sb
+        | _ -> 0.0)
+  in
+  let sync_vdd sa sb = Float.max sa.Topology.vdd sb.Topology.vdd in
+  (* Port counts only grow through [may_open], which keeps them within
+     [max_arity]; anything beyond the table still prices through the
+     model ([switch_pj_beyond]). *)
+  let arity_cap = ref 2 in
+  for s = 0 to n - 1 do
+    arity_cap :=
+      max !arity_cap
+        (max max_arity.(s) (max (in_ports.(s) + 1) out_ports.(s)))
+  done;
+  let arity_cap = !arity_cap in
+  let switch_pj =
+    Array.init (locs * (arity_cap + 1)) (fun i ->
+        let l = i / (arity_cap + 1) and a = i mod (arity_cap + 1) in
+        match rep.(l) with
+        | Some sw when a >= 2 ->
+          switch_energy_pj config ~flit_bits ~vdd:sw.Topology.vdd a
+        | _ -> 0.0)
+  in
   {
+    config;
     topo;
     n;
     mask;
-    max_arity = Array.map arity_of topo.Topology.switches;
-    in_ports = Array.init n (fun sw -> Topology.in_ports topo sw);
-    out_ports = Array.init n (fun sw -> Topology.out_ports topo sw);
-    capacity = Array.map capacity_of topo.Topology.switches;
+    max_arity;
+    in_ports;
+    out_ports;
+    capacity = Array.map capacity_of switches;
     has_indirect;
     out_to_inter = Array.make n false;
     in_from_inter = Array.make n false;
-    hop_cache =
-      (match pooled_sc with
-       | Some sc ->
-         Some
-           {
-             wire_tag = sc.sc_wire_tag;
-             wire_energy = sc.sc_wire_energy;
-             wire_standing = sc.sc_wire_standing;
-             wire_latency = sc.sc_wire_latency;
-             sw_tag = sc.sc_sw_tag;
-             sw_energy = sc.sc_sw_energy;
-           }
-       | None ->
-         if cache then
-           Some
-             {
-               wire_tag = Array.make (2 * n * n) (-1);
-               wire_energy = Array.make (2 * n * n) 0.0;
-               wire_standing = Array.make (2 * n * n) 0.0;
-               wire_latency = Array.make (2 * n * n) 0.0;
-               sw_tag = Array.make (2 * n) (-1);
-               sw_energy = Array.make (2 * n) 0.0;
-             }
-         else None);
-    new_stages =
-      (match pooled_sc with
-       | Some sc -> Some sc.sc_new_stages
-       | None -> if cache then Some (Array.make (n * n) (-1)) else None);
-    memo_epoch =
-      (match pooled_sc with Some sc -> sc.sc_epoch | None -> 0);
-    allowed_memo = (if cache then Some (Hashtbl.create 16) else None);
-    hop_hits = ref 0;
-    hop_misses = ref 0;
-    arena =
-      (match pooled_sc with Some sc -> sc.sc_arena | None -> Astar.create ());
-    hop_out = { out_power = 0.0; out_latency = 0.0 };
-    island =
+    loc;
+    inter = islands;
+    allowed_memo = Array.make (islands * islands) [||];
+    arena = (if pooled then Domain.DLS.get arena_key else Astar.create ());
+    locs;
+    px = Array.map (fun sw -> sw.Topology.position.Geometry.x) switches;
+    py = Array.map (fun sw -> sw.Topology.position.Geometry.y) switches;
+    energy_scale =
+      Array.map (fun sw -> Tech.energy_scale tech ~vdd:sw.Topology.vdd) switches;
+    register_pj =
       Array.map
         (fun sw ->
-          match sw.Topology.location with
-          | Topology.Island isl -> isl
-          | Topology.Intermediate -> -1)
-        topo.Topology.switches;
+          Link_model.register_energy_per_flit_pj tech ~flit_bits
+            ~vdd:sw.Topology.vdd)
+        switches;
+    port_clock_mw = Array.map (port_clock_mw tech) switches;
+    budget_mm =
+      Array.map
+        (fun sw ->
+          if config.Config.allow_link_pipelining then
+            Tech.max_unpipelined_mm tech ~freq_mhz:sw.Topology.freq_mhz
+          else infinity)
+        switches;
+    sync_pj =
+      pair_table (fun sa sb ->
+          Sync_model.energy_per_flit_pj tech ~flit_bits ~vdd:(sync_vdd sa sb));
+    sync_mw =
+      pair_table (fun sa sb ->
+          let vdd = sync_vdd sa sb in
+          Sync_model.leakage_mw tech ~flit_bits ~depth:Sync_model.default_depth
+            ~vdd
+          +. Sync_model.clock_power_mw tech ~flit_bits ~vdd
+               ~freq_mhz:(Float.max sa.Topology.freq_mhz sb.Topology.freq_mhz));
+    arity_cap;
+    switch_pj;
+    wire_pj_per_mm_bit = tech.Tech.wire_energy_pj_per_mm_bit;
+    toggling_bits = 0.5 *. float_of_int flit_bits;
+    open_pj = config.Config.new_link_penalty_pj;
+    to_target = Array.make n infinity;
+    search =
+      {
+        bw = 0.0;
+        rate = 0.0;
+        beta = 0.0;
+        p_norm = 1.0;
+        lat_norm = 1.0;
+        floor = infinity;
+        lb_switch = 0.0;
+        lb_latency = 0.0;
+        lb_open = 0.0;
+        open_energy = 0.0;
+      };
+    counts = { searches = 0; hop_costs = 0; hop_skips = 0 };
   }
 
-let flush_hop_metrics state =
-  if !(state.hop_hits) > 0 then begin
-    Metrics.incr ~by:!(state.hop_hits) "cache.hop_energy.hits";
-    state.hop_hits := 0
-  end;
-  if !(state.hop_misses) > 0 then begin
-    Metrics.incr ~by:!(state.hop_misses) "cache.hop_energy.misses";
-    state.hop_misses := 0
-  end
+let flush_counts state =
+  let c = state.counts in
+  let flush name by = if by > 0 then Metrics.incr ~by name in
+  flush "path_alloc.searches" c.searches;
+  flush "path_alloc.hop_costs" c.hop_costs;
+  flush "path_alloc.hop_skips" c.hop_skips;
+  c.searches <- 0;
+  c.hop_costs <- 0;
+  c.hop_skips <- 0
 
-let is_intermediate state s = state.island.(s) < 0
+let is_intermediate state s = state.loc.(s) = state.inter
 
 let node_allowed state ~si ~di s =
-  let a = state.island.(s) in
-  a < 0 || a = si || a = di
+  let a = state.loc.(s) in
+  a = state.inter || a = si || a = di
 
 (* Usable bandwidth of link u->v: the slower end's.  Capacities are
    positive and finite, so this is [Float.min] without its NaN and
@@ -283,92 +326,12 @@ let[@inline] link_capacity state u v =
   let cap_u = state.capacity.(u) and cap_v = state.capacity.(v) in
   if cap_u <= cap_v then cap_u else cap_v
 
-let hop_latency_cycles ~crossing ~stages =
-  Switch_model.pipeline_latency_cycles + Link_model.traversal_cycles + stages
-  + if crossing then Sync_model.crossing_latency_cycles else 0
-
 (* pipeline registers needed on a prospective link driven by [sw_u] *)
 let stages_needed config sw_u ~length_mm =
   if config.Config.allow_link_pipelining then
     Link_model.stages_for config.Config.tech ~length_mm
       ~freq_mhz:sw_u.Topology.freq_mhz
   else 0
-
-(* The switch-traversal part of a hop's energy: entering switch [v] sized
-   as it would be with this flow admitted.  Depends on the evolving port
-   counts only through the packed (v, inputs, outputs) memo key. *)
-let hop_switch_energy_pj config state ~is_new v =
-  let topo = state.topo in
-  let sw_v = topo.Topology.switches.(v) in
-  let switch_cfg =
-    {
-      Switch_model.inputs = max 2 (state.in_ports.(v) + if is_new then 1 else 0);
-      outputs = max 2 state.out_ports.(v);
-      flit_bits = topo.Topology.flit_bits;
-      buffer_depth = config.Config.buffer_depth;
-    }
-  in
-  Switch_model.energy_per_flit_pj config.Config.tech switch_cfg
-    ~vdd:sw_v.Topology.vdd
-
-(* The wire part of a hop's cost — link, converter and pipeline-register
-   energy plus the standing power of opening the link — a pure function of
-   the topology's fixed geometry and supplies and (is_new, stages): the
-   (is_new, stages, u, v) memo key. *)
-let hop_wire_energy_standing config state ~is_new ~stages u v =
-  let topo = state.topo in
-  let tech = config.Config.tech in
-  let flit_bits = topo.Topology.flit_bits in
-  let sw_v = topo.Topology.switches.(v) in
-  let sw_u = topo.Topology.switches.(u) in
-  let crossing = Topology.is_crossing topo u v in
-  let length =
-    Geometry.manhattan sw_u.Topology.position sw_v.Topology.position
-  in
-  let e_link =
-    Link_model.energy_per_flit_pj tech ~length_mm:length ~flit_bits
-      ~vdd:sw_u.Topology.vdd
-  in
-  let e_sync =
-    if crossing then
-      Sync_model.energy_per_flit_pj tech ~flit_bits
-        ~vdd:(Float.max sw_u.Topology.vdd sw_v.Topology.vdd)
-    else 0.0
-  in
-  let e_registers =
-    float_of_int stages
-    *. Link_model.register_energy_per_flit_pj tech ~flit_bits
-         ~vdd:sw_u.Topology.vdd
-  in
-  let e_open = if is_new then config.Config.new_link_penalty_pj else 0.0 in
-  (* Opening a link costs standing power whether or not this flow is hot:
-     one extra port's clock energy on both switches, plus — on a crossing —
-     the converter's leakage and clock.  This is what consolidates
-     inter-island traffic onto few links instead of a link per flow. *)
-  let standing =
-    if not is_new then 0.0
-    else begin
-      let port_clock sw =
-        let f = sw.Topology.freq_mhz *. 1e6 in
-        Units.power_mw_of_energy
-          ~energy_pj:
-            (1.0 *. Noc_models.Tech.energy_scale tech ~vdd:sw.Topology.vdd)
-          ~events_per_second:f
-      in
-      let converter =
-        if crossing then begin
-          let vdd = Float.max sw_u.Topology.vdd sw_v.Topology.vdd in
-          Sync_model.leakage_mw tech ~flit_bits
-            ~depth:Sync_model.default_depth ~vdd
-          +. Sync_model.clock_power_mw tech ~flit_bits ~vdd
-               ~freq_mhz:(Float.max sw_u.Topology.freq_mhz sw_v.Topology.freq_mhz)
-        end
-        else 0.0
-      in
-      port_clock sw_u +. port_clock sw_v +. converter
-    end
-  in
-  (e_link +. e_sync +. e_registers +. e_open, standing)
 
 (* Normalization so the beta mix is dimensionless: a "typical" hop is a 5x5
    switch plus 2 mm of wire at nominal supply. *)
@@ -394,147 +357,118 @@ let reference_hop_power_mw config topo flow =
   Float.max 1e-9 (Units.power_mw_of_energy ~energy_pj:e ~events_per_second:rate)
 
 (* Ascending ids of the switches an (si, di) flow may visit — a pure
-   function of the topology's fixed switch locations, so it is worth
-   memoizing per state (fault masks are deliberately NOT baked in: a
+   function of the topology's fixed switch locations, so it is memoized
+   per state (fault masks are deliberately NOT baked in: a
    [route_backup] state shares these tables across a mask change). *)
-let compute_allowed state ~si ~di =
-  let buf = Array.make state.n 0 in
-  let count = ref 0 in
-  for v = 0 to state.n - 1 do
-    if node_allowed state ~si ~di v then begin
-      buf.(!count) <- v;
-      incr count
-    end
-  done;
-  Array.sub buf 0 !count
-
 let allowed_nodes state ~si ~di =
-  match state.allowed_memo with
-  | Some tbl when si >= 0 && si < 0xFFFFF && di >= 0 && di < 0xFFFFF ->
-    let key = (si lsl 20) lor di in
-    (match Hashtbl.find_opt tbl key with
-     | Some nodes -> Some nodes
-     | None ->
-       let nodes = compute_allowed state ~si ~di in
-       Hashtbl.add tbl key nodes;
-       Some nodes)
-  | Some _ | None -> None
+  let key = (si * state.topo.Topology.islands) + di in
+  match state.allowed_memo.(key) with
+  | [||] ->
+    let buf = Array.make state.n 0 in
+    let count = ref 0 in
+    for v = 0 to state.n - 1 do
+      if node_allowed state ~si ~di v then begin
+        buf.(!count) <- v;
+        incr count
+      end
+    done;
+    let nodes = Array.sub buf 0 !count in
+    state.allowed_memo.(key) <- nodes;
+    nodes
+  | nodes -> nodes
 
 (* ---------- the hop kernel ---------- *)
 
+(* A hop's switch and link cycles; a crossing adds the converter's. *)
+let hop_cycles =
+  Switch_model.pipeline_latency_cycles + Link_model.traversal_cycles
+
 (* Each helper below marked [@inline] is written once and inlined into
-   both callers, the expansion [successors_iter_flat] and the A* floor
-   [target_floor].  The build has no flambda; closure-mode ocamlopt
-   honours [@inline] only when the body holds no local closure, no
-   [let rec] and no optional argument, so the rare paths (memo misses,
-   the memo-off computation) are separate out-of-line functions. *)
+   both callers, the expansion [expand_node] and the A* floor pass
+   [target_floor].  The build has no flambda and compiles library
+   modules [-opaque]: closure-mode ocamlopt honours [@inline] only when
+   the body holds no local closure, no [let rec] and no optional
+   argument, and a call into another module is never inlined, so the
+   rare paths that need the model functions are out-of-line calls. *)
 
-(* Pipeline stages of a prospective u->v link. *)
-let new_link_stages_direct config state u v =
-  let sw_u = state.topo.Topology.switches.(u) in
-  let sw_v = state.topo.Topology.switches.(v) in
-  let length = Geometry.manhattan sw_u.Topology.position sw_v.Topology.position in
-  stages_needed config sw_u ~length_mm:length
+let[@inline] manhattan state u v =
+  Float.abs (state.px.(u) -. state.px.(v))
+  +. Float.abs (state.py.(u) -. state.py.(v))
 
-let new_link_stages_miss config state arr idx u v =
-  let fresh = new_link_stages_direct config state u v in
-  if fresh land 0xFFFF = fresh then
-    arr.(idx) <- (state.memo_epoch lsl 16) lor fresh;
-  fresh
+(* Pipeline stages of a prospective u->v link of [length] mm: none
+   within u's budget (always, with pipelining off), else the model's
+   count. *)
+let[@inline] new_link_stages state u ~length =
+  if length <= state.budget_mm.(u) then 0
+  else
+    Link_model.stages_for state.config.Config.tech ~length_mm:length
+      ~freq_mhz:state.topo.Topology.switches.(u).Topology.freq_mhz
 
-(* [new_link_stages_direct] through the [new_stages] memo when it is on:
-   an entry is live iff its high bits carry this state's epoch. *)
-let[@inline] new_link_stages config state u v =
-  match state.new_stages with
-  | None -> new_link_stages_direct config state u v
-  | Some arr ->
-    let idx = (u * state.n) + v in
-    let c = arr.(idx) in
-    if c asr 16 = state.memo_epoch && c >= 0 then c land 0xFFFF
-    else new_link_stages_miss config state arr idx u v
+(* A switch priced beyond the tabulated arities: straight from the model,
+   as every arity in the table was. *)
+let switch_pj_beyond state v arity =
+  switch_energy_pj state.config ~flit_bits:state.topo.Topology.flit_bits
+    ~vdd:state.topo.Topology.switches.(v).Topology.vdd arity
 
-(* The kernel with no usable memo slot: the flow-independent factors
-   computed afresh, then recomposed exactly as the memo path below does —
-   switch part first, then the rate, then the standing power. *)
-let hop_direct config state ~rate ~is_new ~stages u v out =
-  let e_switch = hop_switch_energy_pj config state ~is_new v in
-  let e_wire, standing =
-    hop_wire_energy_standing config state ~is_new ~stages u v
+(* Switch traversal pJ/flit of entering [v] with [inputs] input and
+   [outputs] output ports — the model's [max 2] floor on each, then its
+   arity [max inputs outputs]. *)
+let[@inline] switch_pj state v ~inputs ~outputs =
+  let a = if inputs > outputs then inputs else outputs in
+  let a = if a > 2 then a else 2 in
+  if a <= state.arity_cap then
+    state.switch_pj.((state.loc.(v) * (state.arity_cap + 1)) + a)
+  else switch_pj_beyond state v a
+
+(* The hop kernel: the relax weight of pushing the search's flow through
+   hop u->v, entering switch v; [is_new] adds the opening penalty and
+   the standing power of the new link — both ends' port clocks and, on
+   a crossing, the converter's leakage and clock.  The weight is the
+   [beta] mix of the power increase and the hop latency, each
+   normalized ([p_norm], [lat_norm]), floored at 1e-9 so every edge is
+   strictly positive.
+
+   Every term is a tabulated value of the model function that priced it
+   before, composed in that function's association: the wire term as
+   [Link_model.energy_per_flit_pj] writes it, [e_link +. e_sync +.
+   e_registers +. e_open], [e_switch +. e_wire], then
+   [Units.power_mw_of_energy]'s [energy *. rate *. 1e-9] plus the
+   standing power.  Float arithmetic is deterministic for a fixed
+   association, so the weights are bit-identical to the model's (see
+   docs/ALGORITHM.md, "The closed-form hop kernel"). *)
+let[@inline] hop_weight state ~is_new ~stages ~length u v =
+  let sp = state.search in
+  let pair = (state.loc.(u) * state.locs) + state.loc.(v) in
+  let e_link =
+    state.wire_pj_per_mm_bit *. length *. state.toggling_bits
+    *. state.energy_scale.(u)
   in
-  let crossing = Topology.is_crossing state.topo u v in
-  out.out_power <-
-    Units.power_mw_of_energy ~energy_pj:(e_switch +. e_wire)
-      ~events_per_second:rate
-    +. standing;
-  out.out_latency <- float_of_int (hop_latency_cycles ~crossing ~stages)
-
-(* Recompute and store the wire slot [widx] of hop u->v. *)
-let hop_wire_miss config state hc ~is_new ~stages ~tag u v widx =
-  incr state.hop_misses;
-  let e_wire, standing =
-    hop_wire_energy_standing config state ~is_new ~stages u v
+  let e_wire =
+    e_link +. state.sync_pj.(pair)
+    +. (float_of_int stages *. state.register_pj.(u))
+    +. if is_new then state.open_pj else 0.0
   in
-  let crossing = Topology.is_crossing state.topo u v in
-  hc.wire_tag.(widx) <- tag;
-  hc.wire_energy.(widx) <- e_wire;
-  hc.wire_standing.(widx) <- standing;
-  hc.wire_latency.(widx) <- float_of_int (hop_latency_cycles ~crossing ~stages)
-
-(* The hop kernel: the power increase (mW) and latency (cycles) of pushing
-   a flow of [rate] flits/s through hop u->v, entering switch v, written to
-   [out]; [is_new] adds the opening bias and, for crossings, the leakage
-   of the converter that would be instantiated.
-
-   This is the synthesis hot spot (~1.5M evaluations per d36 sweep), so
-   the flow-independent factors are memoized per routing state in directly
-   indexed arrays — the wire slot per (is_new, u, v) validated against
-   [stages], the switch slot per (is_new, v) against the live port counts
-   — so a lookup neither hashes nor allocates.  Port counts that do not
-   fit the 10-bit tag fields fall back to [hop_direct], so packing limits
-   can never produce a wrong hit.  The flow only enters through the flit
-   rate, and [Units.power_mw_of_energy] is linear in the rate, so caching
-   the exact (energy_pj, standing_mw) pair and recomposing through the
-   same expression keeps memo-on and memo-off costs bit-identical. *)
-let[@inline] hop_kernel config state ~rate ~is_new ~stages u v out =
-  match state.hop_cache with
-  | None -> hop_direct config state ~rate ~is_new ~stages u v out
-  | Some hc ->
-    let in_v = state.in_ports.(v) and out_v = state.out_ports.(v) in
-    if in_v < 0 || in_v >= 1024 || out_v < 0 || out_v >= 1024 then
-      hop_direct config state ~rate ~is_new ~stages u v out
-    else begin
-      let n = state.n in
-      let widx = ((((if is_new then 1 else 0) * n) + u) * n) + v in
-      let sidx = (if is_new then n else 0) + v in
-      let wire_tag = (state.memo_epoch lsl 16) lor stages in
-      if hc.wire_tag.(widx) = wire_tag then incr state.hop_hits
-      else hop_wire_miss config state hc ~is_new ~stages ~tag:wire_tag u v widx;
-      (* the switch part drifts with v's ports: refresh it in place *)
-      let sw_tag = (state.memo_epoch lsl 20) lor (in_v lsl 10) lor out_v in
-      if hc.sw_tag.(sidx) <> sw_tag then begin
-        hc.sw_tag.(sidx) <- sw_tag;
-        hc.sw_energy.(sidx) <- hop_switch_energy_pj config state ~is_new v
-      end;
-      (* [hop_direct]'s association, then
-         [Units.power_mw_of_energy ~energy_pj ~events_per_second:rate] *)
-      let energy_pj = hc.sw_energy.(sidx) +. hc.wire_energy.(widx) in
-      out.out_power <- (energy_pj *. rate *. 1e-9) +. hc.wire_standing.(widx);
-      out.out_latency <- hc.wire_latency.(widx)
-    end
-
-(* The relax weight of hop u->v: the [beta] mix of the kernel's power
-   and latency, each normalized ([p_norm] is [reference_hop_power_mw] of
-   the flow, [lat_norm] its latency budget), floored at 1e-9 so every
-   edge is strictly positive.  ([Float.max 1e-9 cost] for the never-NaN
-   [cost].) *)
-let[@inline] hop_weight config state ~rate ~beta ~p_norm ~lat_norm ~is_new
-    ~stages u v =
-  let out = state.hop_out in
-  hop_kernel config state ~rate ~is_new ~stages u v out;
+  let e_switch =
+    switch_pj state v
+      ~inputs:(state.in_ports.(v) + if is_new then 1 else 0)
+      ~outputs:state.out_ports.(v)
+  in
+  let standing =
+    if is_new then
+      state.port_clock_mw.(u) +. state.port_clock_mw.(v) +. state.sync_mw.(pair)
+    else 0.0
+  in
+  let power = ((e_switch +. e_wire) *. sp.rate *. 1e-9) +. standing in
+  let cycles =
+    hop_cycles + stages
+    + if state.loc.(u) <> state.loc.(v) then Sync_model.crossing_latency_cycles
+      else 0
+  in
   let cost =
-    (beta *. (out.out_power /. p_norm))
-    +. ((1.0 -. beta) *. (out.out_latency /. lat_norm))
+    (sp.beta *. (power /. sp.p_norm))
+    +. ((1.0 -. sp.beta) *. (float_of_int cycles /. sp.lat_norm))
   in
+  state.counts.hop_costs <- state.counts.hop_costs + 1;
   if cost > 1e-9 then cost else 1e-9
 
 (* May a flow of [bw] MB/s reuse the existing link u->v? *)
@@ -543,7 +477,7 @@ let[@inline] may_reuse state ~bw link u v =
 
 (* May a flow of [bw] MB/s from island [si] to island [di] open a new
    link u->v?  First the paper's shutdown-safe opening rule, over the
-   island ids ([-1] is the always-on intermediate VI): a new link stays
+   locations ([inter] is the always-on intermediate VI): a new link stays
    inside one island, goes straight from [si] to [di], leaves [si] for
    the intermediate VI, enters [di] from it, or stays inside it — never
    through a third, shutdownable island.  Then the port budgets: while a
@@ -554,12 +488,13 @@ let[@inline] may_reuse state ~bw link u v =
    a link touching the intermediate VI may take the held port, since that
    is what it is held for.  Last, the new link's capacity. *)
 let[@inline] may_open state ~si ~di ~bw u v =
-  let isl_u = state.island.(u) and isl_v = state.island.(v) in
-  (if isl_u >= 0 then
-     if isl_v < 0 then isl_u = si
+  let inter = state.inter in
+  let isl_u = state.loc.(u) and isl_v = state.loc.(v) in
+  (if isl_u <> inter then
+     if isl_v = inter then isl_u = si
      else isl_u = isl_v || (isl_u = si && isl_v = di)
-   else isl_v < 0 || isl_v = di)
-  && (let held = state.has_indirect && isl_u >= 0 && isl_v >= 0 in
+   else isl_v = inter || isl_v = di)
+  && (let held = state.has_indirect && isl_u <> inter && isl_v <> inter in
       state.out_ports.(u) + 1
       <= state.max_arity.(u)
          - (if held && not state.out_to_inter.(u) then 1 else 0)
@@ -568,118 +503,179 @@ let[@inline] may_open state ~si ~di ~bw u v =
             - (if held && not state.in_from_inter.(v) then 1 else 0))
   && bw <= link_capacity state u v +. 1e-9
 
-(* The expansion A* runs: [relax v w] for every admissible hop out of
-   [u], at the kernel's weight.  Admissible nodes are visited in
-   descending id order — the order of the consed successor lists of
-   earlier revisions, so routes stay stable — with or without the memo.
-   Everything before [fun u relax ->] runs once per search; A* applies
-   only the returned expansion per settled node. *)
-let successors_iter_flat config state flow ~si ~di ~beta ~p_norm ~allowed =
-  let links = state.topo.Topology.links in
-  let bw = flow.Flow.bandwidth_mbps in
-  let rate =
-    Units.flits_per_second ~bw_mbps:bw ~flit_bits:state.topo.Topology.flit_bits
-  in
-  let lat_norm = float_of_int flow.Flow.max_latency_cycles in
-  (* [no_mask]'s probes are constant [false]; skip the two indirect calls
-     per candidate on the (overwhelmingly common) unmasked states *)
-  let unmasked = state.mask == no_mask in
-  (* [relax_hop] carries its full parameter list so it is a per-search
-     value: no closure is re-allocated per expanded node *)
-  let relax_hop u v ~is_new ~stages relax =
-    relax v
-      (hop_weight config state ~rate ~beta ~p_norm ~lat_norm ~is_new ~stages
-         u v)
-  in
-  fun u relax ->
-    let row_u = Noc_graph.Flat.out_row links u in
-    let consider v =
-      if
-        v <> u
-        && (unmasked
-           || ((not (state.mask.dead_switch v)) && not (state.mask.dead_link u v)))
-      then
-        match (match row_u with None -> None | Some row -> row.(v)) with
-        | Some link ->
-          if may_reuse state ~bw link u v then
-            relax_hop u v ~is_new:false ~stages:link.Topology.stages relax
-        | None ->
-          if may_open state ~si ~di ~bw u v then
-            relax_hop u v ~is_new:true
-              ~stages:(new_link_stages config state u v)
-              relax
-    in
-    match allowed with
-    | Some nodes ->
-      for i = Array.length nodes - 1 downto 0 do
-        consider nodes.(i)
-      done
-    | None ->
-      for v = state.n - 1 downto 0 do
-        if node_allowed state ~si ~di v then consider v
-      done
+(* Is hop u->v outside the mask?  The expansion asks this of the head
+   only: the tail is the node being expanded, and no caller searches from
+   a dead switch ([route_flow] rejects dead endpoints, backup masks spare
+   both). *)
+let[@inline] live state u v =
+  state.mask == no_mask
+  || ((not (state.mask.dead_switch v)) && not (state.mask.dead_link u v))
 
-(* The A* heuristic's constant: the exact float minimum relax weight over
-   the admissible hops entering [target], from the same kernel,
-   admissibility tests and weight as the expansion.  During one search
-   the routing state is immutable, so this set — and each hop's weight —
-   is fixed; h(v) = floor for v <> target and h(target) = 0 is therefore
+(* The floor pass: the weight of every admissible hop into [target],
+   kept in [to_target] for the expansion, and their exact float minimum
+   in [search.floor] — A*'s constant heuristic.  During one search the
+   routing state is immutable, so this set and each hop's weight are
+   fixed; h(v) = floor for v <> target and h(target) = 0 is therefore
    consistent, and with the heap's (f, g, id) ordering A* pops non-target
    nodes in exactly Dijkstra's (g, id) order (see docs/ALGORITHM.md for
    the identity argument).  [infinity] when no hop can enter the target:
-   every f is then infinite, the g tie-key alone orders the pops exactly
-   as Dijkstra would, and the search proves unreachability the same
-   way. *)
-let target_floor config state flow ~si ~di ~beta ~p_norm ~allowed ~target =
+   the target is then unreachable (a dead target too), and the search
+   proves it. *)
+let target_floor state ~si ~di ~allowed ~target =
+  let sp = state.search in
   let links = state.topo.Topology.links in
-  let bw = flow.Flow.bandwidth_mbps in
-  let rate =
-    Units.flits_per_second ~bw_mbps:bw ~flit_bits:state.topo.Topology.flit_bits
-  in
-  let lat_norm = float_of_int flow.Flow.max_latency_cycles in
-  let unmasked = state.mask == no_mask in
-  let best = ref infinity in
-  let score u ~is_new ~stages =
+  let bw = sp.bw in
+  sp.floor <- infinity;
+  for i = 0 to Array.length allowed - 1 do
+    let u = allowed.(i) in
     let w =
-      hop_weight config state ~rate ~beta ~p_norm ~lat_norm ~is_new ~stages u
-        target
+      if
+        u = target
+        || not
+             (live state u target
+             && (state.mask == no_mask || not (state.mask.dead_switch u)))
+      then infinity
+      else
+        match Flat.get links u target with
+        | Some link ->
+          if may_reuse state ~bw link u target then
+            hop_weight state ~is_new:false ~stages:link.Topology.stages
+              ~length:(manhattan state u target) u target
+          else infinity
+        | None ->
+          if may_open state ~si ~di ~bw u target then begin
+            let length = manhattan state u target in
+            hop_weight state ~is_new:true
+              ~stages:(new_link_stages state u ~length)
+              ~length u target
+          end
+          else infinity
     in
-    if w < !best then best := w
+    state.to_target.(u) <- w;
+    if w < sp.floor then sp.floor <- w
+  done
+
+(* [1 - 1e-9]: the lower bound's margin against rounding (see
+   [expand_node]). *)
+let lb_shrink = 1.0 -. 1e-9
+
+(* The expansion of [u], labeled [d], under the target label [bound]
+   ([infinity] while unlabeled): write every admissible hop out of [u]
+   with its weight into [succ]/[weight] and return their count.
+
+   The hop into the target comes first, with the weight the floor pass
+   already computed, and it lowers the bound to [d +. w(u, target)] —
+   the target's label once A* relaxes it.  Every other candidate [v] is
+   then tested against a lower bound on its weight before anything else
+   is spent on it:
+     lb(v) = beta * e_sw(v at its current arity) * rate * 1e-9 / p_norm
+             + (1 - beta) * 3 / lat_norm,
+   plus, for a new link, beta * (port clock of u and v
+   + opening penalty * rate * 1e-9) / p_norm.  Every term of the true
+   weight is non-negative, a new link only raises v's arity, and a hop
+   takes at least 3 cycles, so lb(v) is at most the weight in exact
+   arithmetic; shrunk by [lb_shrink], it stays below the float weight,
+   whose few roundings err by ~1e-15 relative.  If [d +. lb + floor]
+   already reaches the bound, the hop's f would too, and A*'s goal-bound
+   prune would discard it: skipping it before the mask, the admissibility
+   tests and the kernel changes nothing.  Admissible nodes are visited in
+   descending id order, the relax order every earlier revision used. *)
+let expand_node state ~si ~di ~allowed ~target u d bound succ weight =
+  let sp = state.search in
+  let row_u = Flat.out_row state.topo.Topology.links u in
+  let bw = sp.bw and floor = sp.floor in
+  let count = ref 0 in
+  let w_ut = state.to_target.(u) in
+  let bound =
+    if w_ut < infinity then begin
+      succ.(0) <- target;
+      weight.(0) <- w_ut;
+      count := 1;
+      let via = d +. w_ut in
+      if via < bound then via else bound
+    end
+    else bound
   in
-  let consider u =
-    if
-      u <> target
-      && (unmasked
-         || ((not (state.mask.dead_switch u))
-            && not (state.mask.dead_link u target)))
-    then
-      match Noc_graph.Flat.get links u target with
-      | Some link ->
-        if may_reuse state ~bw link u target then
-          score u ~is_new:false ~stages:link.Topology.stages
-      | None ->
-        if may_open state ~si ~di ~bw u target then
-          score u ~is_new:true ~stages:(new_link_stages config state u target)
-  in
-  (match allowed with
-  | Some nodes -> Array.iter consider nodes
-  | None ->
-    for u = 0 to state.n - 1 do
-      if node_allowed state ~si ~di u then consider u
-    done);
-  !best
+  let lb_switch = sp.lb_switch and lb_latency = sp.lb_latency in
+  let lb_open_u = sp.lb_open and open_mw = sp.open_energy in
+  let clock_u = state.port_clock_mw.(u) in
+  for i = Array.length allowed - 1 downto 0 do
+    let v = allowed.(i) in
+    if v <> u && v <> target then begin
+      let cell = match row_u with None -> None | Some row -> row.(v) in
+      let lb =
+        (lb_switch
+         *. switch_pj state v ~inputs:state.in_ports.(v)
+              ~outputs:state.out_ports.(v))
+        +. lb_latency
+      in
+      let lb =
+        match cell with
+        | Some _ -> lb
+        | None ->
+          lb +. (lb_open_u *. (clock_u +. state.port_clock_mw.(v) +. open_mw))
+      in
+      if d +. (lb *. lb_shrink) +. floor >= bound then
+        state.counts.hop_skips <- state.counts.hop_skips + 1
+      else if live state u v then
+        match cell with
+        | Some link ->
+          if may_reuse state ~bw link u v then begin
+            succ.(!count) <- v;
+            weight.(!count) <-
+              hop_weight state ~is_new:false ~stages:link.Topology.stages
+                ~length:(manhattan state u v) u v;
+            incr count
+          end
+        | None ->
+          if may_open state ~si ~di ~bw u v then begin
+            let length = manhattan state u v in
+            succ.(!count) <- v;
+            weight.(!count) <-
+              hop_weight state ~is_new:true
+                ~stages:(new_link_stages state u ~length)
+                ~length u v;
+            incr count
+          end
+    end
+  done;
+  !count
 
 (* One least-cost search (Algorithm 1, step 15): A* from [source] to
    [target] over the admissible hops, with the target floor as its
    constant heuristic, in the state's reusable arena. *)
-let shortest_path config state flow ~si ~di ~beta ~p_norm ~allowed ~source
-    ~target =
-  let floor =
-    target_floor config state flow ~si ~di ~beta ~p_norm ~allowed ~target
+let shortest_path state flow ~si ~di ~beta ~p_norm ~allowed ~source ~target =
+  let sp = state.search in
+  let bw = flow.Flow.bandwidth_mbps in
+  let rate =
+    Units.flits_per_second ~bw_mbps:bw ~flit_bits:state.topo.Topology.flit_bits
   in
+  let lat_norm = float_of_int flow.Flow.max_latency_cycles in
+  sp.bw <- bw;
+  sp.rate <- rate;
+  sp.beta <- beta;
+  sp.p_norm <- p_norm;
+  sp.lat_norm <- lat_norm;
+  (* the bound needs every term of the weight non-negative *)
+  if beta >= 0.0 && beta <= 1.0 && state.open_pj >= 0.0 && lat_norm > 0.0
+  then begin
+    sp.lb_switch <- beta *. rate *. 1e-9 /. p_norm;
+    sp.lb_latency <- (1.0 -. beta) *. float_of_int hop_cycles /. lat_norm;
+    sp.lb_open <- beta /. p_norm;
+    sp.open_energy <- state.open_pj *. rate *. 1e-9
+  end
+  else begin
+    sp.lb_switch <- 0.0;
+    sp.lb_latency <- 0.0;
+    sp.lb_open <- 0.0;
+    sp.open_energy <- 0.0
+  end;
+  target_floor state ~si ~di ~allowed ~target;
+  state.counts.searches <- state.counts.searches + 1;
   Astar.run_to_const state.arena ~n:state.n
-    ~expand:(successors_iter_flat config state flow ~si ~di ~beta ~p_norm ~allowed)
-    ~floor ~source ~target
+    ~expand:(fun u d bound succ weight ->
+      expand_node state ~si ~di ~allowed ~target u d bound succ weight)
+    ~floor:sp.floor ~source ~target
 
 let open_missing config state route =
   let topo = state.topo in
@@ -736,7 +732,7 @@ let route_flow config state flow =
     (* one memo lookup per flow, not one per node expansion *)
     let allowed = allowed_nodes state ~si:!si ~di:!di in
     let attempt beta =
-      shortest_path config state flow ~si:!si ~di:!di ~beta ~p_norm ~allowed
+      shortest_path state flow ~si:!si ~di:!di ~beta ~p_norm ~allowed
         ~source:ss ~target:ds
     in
     let try_route beta =
@@ -974,10 +970,10 @@ let sorted_by_bandwidth flows =
     cell := Some (flows, sorted);
     sorted
 
-let route_all ?(priority = []) ?cache ?engine:(_ : engine option) config soc
-    topo ~clocks =
+let route_all ?(priority = []) ?cache:(_ : bool option)
+    ?engine:(_ : engine option) config soc topo ~clocks =
   Metrics.time "path_alloc.route_all" @@ fun () ->
-  let state = make_state ?cache ~pooled:true config topo ~clocks in
+  let state = make_state ~pooled:true config topo ~clocks in
   let pristine = save state in
   let flows_of priority =
     match priority with
@@ -1050,7 +1046,7 @@ let route_all ?(priority = []) ?cache ?engine:(_ : engine option) config soc
   (match result with
    | Ok _ -> Topology.clear_journal topo
    | Error _ -> ());
-  flush_hop_metrics state;
+  flush_counts state;
   result
 
 (* ---------- incremental sessions (fault repair) ---------- *)
@@ -1065,11 +1061,8 @@ type session = {
   s_state : state;
 }
 
-let session ?mask ?cache config topo ~clocks =
-  {
-    s_config = config;
-    s_state = make_state ?mask ?cache config topo ~clocks;
-  }
+let session ?mask config topo ~clocks =
+  { s_config = config; s_state = make_state ?mask config topo ~clocks }
 
 let discard { s_state = state; _ } flow =
   match Topology.remove_flow state.topo flow with
@@ -1088,7 +1081,7 @@ let reroute { s_config = config; s_state = state } flow =
        | `Recovered _ -> Ok ()
        | `Failed _ -> Error e)
   in
-  flush_hop_metrics state;
+  flush_counts state;
   result
 
 (* ---------- protection (backup) routes ---------- *)
@@ -1106,7 +1099,7 @@ let route_backup_with config state flow ~si ~di ~ss ~ds mask =
   let p_norm = reference_hop_power_mw config topo flow in
   let allowed = allowed_nodes masked ~si ~di in
   let attempt beta =
-    shortest_path config masked flow ~si ~di ~beta ~p_norm ~allowed ~source:ss
+    shortest_path masked flow ~si ~di ~beta ~p_norm ~allowed ~source:ss
       ~target:ds
   in
   (* Backups only carry traffic after a fault, in degraded mode; they get
@@ -1179,6 +1172,6 @@ let route_backup { s_config = config; s_state = state } flow =
       | Ok () -> Ok ()
       | Error _ -> attempt link_disjoint
     in
-    flush_hop_metrics state;
+    flush_counts state;
     result
   end

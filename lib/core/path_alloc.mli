@@ -66,13 +66,17 @@ val route_all :
     had to do.  Deterministic: identical inputs produce identical
     topologies, routes and stats.
 
-    [cache] (default [true]) memoizes the flow-independent factors of the
-    hop cost per allocation — the synthesis hot spot.  Cached and uncached
-    runs are bit-identical (see ALGORITHM.md, "Memoization soundness");
-    hits/misses are reported in {!Noc_exec.Metrics} as
-    [cache.hop_energy.hits] / [cache.hop_energy.misses].
+    Each call adds its search counts to {!Noc_exec.Metrics}:
+    [path_alloc.searches] (A* searches), [path_alloc.hop_costs] (hop
+    kernel evaluations, the heuristic's floor pass included) and
+    [path_alloc.hop_skips] (hops the search's lower bound dropped before
+    costing them).
 
-    [engine] is ignored (see {!engine}). *)
+    [cache] and [engine] are ignored: the hop cost has no memo left to
+    switch off (see docs/ALGORITHM.md, "The closed-form hop kernel"),
+    and there is one engine (see {!engine}).
+    @raise Invalid_argument if two switches of one island (or of the
+    intermediate VI) differ in supply or clock. *)
 
 val pp_error : Format.formatter -> error -> unit
 
@@ -107,7 +111,6 @@ type session
 
 val session :
   ?mask:mask ->
-  ?cache:bool ->
   Config.t ->
   Topology.t ->
   clocks:Freq_assign.island_clock array ->
@@ -115,8 +118,11 @@ val session :
 (** Recounts ports and capacities from the topology as it stands.  Links
     already dropped by a fault should be removed (rip up their flows)
     before the session is created so the counters match the survivor
-    fabric; the mask then prevents reopening them.  [cache] is as in
-    {!route_all}. *)
+    fabric; the mask then prevents reopening them.  {!reroute} and
+    {!route_backup} add their search counts to {!Noc_exec.Metrics} as
+    {!route_all} does.
+    @raise Invalid_argument if two switches of one island (or of the
+    intermediate VI) differ in supply or clock. *)
 
 val discard : session -> Noc_spec.Flow.t -> bool
 (** Rip up the committed route of the flow (see {!Topology.remove_flow})

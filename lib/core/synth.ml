@@ -250,7 +250,7 @@ let run ?(options = Options.default) config soc vi =
         ~strategy:o.Options.assignment_strategy ?partition config soc vi
         ~plan ~clocks ~vcgs ~switch_counts ~indirect_count
     in
-    match Path_alloc.route_all ~cache:o.Options.cache config soc topo ~clocks with
+    match Path_alloc.route_all config soc topo ~clocks with
     | Ok stats ->
       let recovered =
         stats.Path_alloc.ripups > 0 || stats.Path_alloc.restarts > 0
@@ -261,9 +261,7 @@ let run ?(options = Options.default) config soc vi =
       let protected_ok =
         (not o.Options.protect)
         ||
-        let session =
-          Path_alloc.session ~cache:o.Options.cache config topo ~clocks
-        in
+        let session = Path_alloc.session config topo ~clocks in
         List.for_all
           (fun flow ->
             match Path_alloc.route_backup session flow with

@@ -42,9 +42,7 @@ module Options : sig
     cache : bool;
         (** memoize sub-problems process-wide: per-island min-cut
             partitions, per-island clock assignment, the (annealed)
-            floorplan, whole candidate evaluations, and the
-            flow-independent hop-cost factors inside {!Path_alloc}.
-            Every table is keyed on a content digest of the projection of
+            floorplan and whole candidate evaluations.  Every table is keyed on a content digest of the projection of
             the spec that sub-problem reads, which is what makes {!rerun}
             incremental.  Cached and uncached runs are bit-identical (see
             ALGORITHM.md, "Memoization soundness" and "Incremental

@@ -7,11 +7,8 @@
     handled by lazy deletion: push the same payload again with a smaller
     key and have the caller skip stale entries on pop.
 
-    {!Indexed} is the priority queue behind the routing search
-    ({!Astar}): payloads are ids in [0, n), membership is
-    tracked in a positions array, and it supports true decrease-key with a
-    deterministic lexicographic (key, tie, id) ordering so equal-key pop
-    order never depends on heap internals. *)
+    The routing search's decrease-key heap is {!Astar.Indexed}, kept
+    beside the one loop that uses it. *)
 
 type 'a t
 
@@ -34,47 +31,3 @@ val peek_min : 'a t -> (float * 'a) option
 (** Smallest entry without removing it. *)
 
 val clear : 'a t -> unit
-
-(** Decrease-key min-heap over int ids in [0, n).
-
-    Ordering is lexicographic on [(key, tie, id)].  The [tie] field is a
-    caller-chosen secondary key — the A* engine stores the g-cost there so
-    a constant heuristic offset cannot reorder equal-f pops relative to
-    plain Dijkstra — and the id itself breaks any remaining tie, making
-    pop order fully deterministic. *)
-module Indexed : sig
-  type t
-
-  val create : int -> t
-  (** [create n] supports ids in [0, n).
-      @raise Invalid_argument if [n < 0]. *)
-
-  val capacity : t -> int
-  (** The [n] the heap was created with. *)
-
-  val length : t -> int
-  val is_empty : t -> bool
-
-  val mem : t -> int -> bool
-  (** Is the id currently a member? *)
-
-  val insert : t -> int -> key:float -> tie:float -> unit
-  (** Add a non-member id.
-      @raise Invalid_argument if out of range or already a member. *)
-
-  val decrease : t -> int -> key:float -> tie:float -> unit
-  (** Lower a member's key (the caller guarantees the new [(key, tie)] is
-      no greater than the old one).
-      @raise Invalid_argument if the id is not a member. *)
-
-  val insert_or_decrease : t -> int -> key:float -> tie:float -> unit
-  (** Insert if absent; otherwise decrease iff the new [(key, tie)] is
-      strictly smaller.  No-op when the member's current key is already as
-      good — exactly the relaxation step of A*. *)
-
-  val pop_min : t -> int
-  (** Remove and return the smallest member id, or [-1] if empty. *)
-
-  val clear : t -> unit
-  (** Drop all members.  O(members), not O(n). *)
-end

@@ -7,19 +7,31 @@ type bundle = {
 (* ---------- printing ---------- *)
 
 let print_float b x =
-  (* shortest representation that still round-trips: integers print as
-     such; everything else tries increasing precision and stops at the
-     first rendering that parses back to the identical double (%.17g
-     always does) *)
+  (* Shortest representation that still round-trips: integers print as
+     such; everything else takes the least precision in 9..17 whose
+     rendering parses back to the identical double (%.17g always does).
+     Round-tripping is monotone in the precision: the nearest
+     (p+1)-digit decimal is never farther from x than the nearest p-digit
+     one, so it parses back to x whenever that one does (x's rounding
+     interval is symmetric except at a power of two, and the tests check
+     every power of two).  So the least such precision is bisected, in at
+     most four tries, where a linear scan took up to nine. *)
   if Float.is_integer x && Float.abs x < 1e15 then
     Buffer.add_string b (Printf.sprintf "%.0f" x)
   else begin
-    let rec shortest precision =
-      let s = Printf.sprintf "%.*g" precision x in
-      if precision >= 17 || float_of_string s = x then s
-      else shortest (precision + 1)
+    let render precision = Printf.sprintf "%.*g" precision x in
+    (* the least round-tripping precision is in [lo, hi]; [at_hi] is
+       [hi]'s rendering once a try has checked it *)
+    let rec least lo hi at_hi =
+      if lo >= hi then (match at_hi with Some s -> s | None -> render hi)
+      else begin
+        let mid = (lo + hi) / 2 in
+        let s = render mid in
+        if float_of_string s = x then least lo mid (Some s)
+        else least (mid + 1) hi at_hi
+      end
     in
-    Buffer.add_string b (shortest 9)
+    Buffer.add_string b (least 9 17 None)
   end
 
 let to_string bundle =

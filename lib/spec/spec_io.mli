@@ -35,6 +35,11 @@ val parse : string -> (bundle, string) result
 val to_string : bundle -> string
 (** Render a bundle in the format above. *)
 
+val print_float : Buffer.t -> float -> unit
+(** The rendering {!to_string} gives every float: an integer below 1e15
+    in magnitude as such, anything else with the least precision in
+    9..17 ([%.*g]) that parses back to the identical double. *)
+
 val load : string -> (bundle, string) result
 (** Read and parse a file; I/O errors are reported in the [Error] case. *)
 

@@ -1,10 +1,11 @@
 (* A deliberately naive Dijkstra, the identity oracle for
-   [Noc_graph.Astar.run_to_const].  O(n²): each round settles the
-   unsettled labeled node of least (distance, id) by a linear scan and
-   relaxes its out-edges strictly in expansion order, keeping the first
-   of equal-cost predecessors.  Edges with an out-of-range head or a
-   non-finite or negative weight are ignored.  With [target], the search
-   stops once the target is settled. *)
+   [Noc_graph.Astar.run_to_const] (through [buffered] below).  O(n²):
+   each round settles the unsettled labeled node of least
+   (distance, id) by a linear scan and relaxes its out-edges strictly in
+   expansion order, keeping the first of equal-cost predecessors.  Edges
+   with an out-of-range head or a non-finite or negative weight are
+   ignored.  With [target], the search stops once the target is
+   settled. *)
 
 type result = { dist : float array; pred : int array }
 
@@ -52,3 +53,13 @@ let run_to ~n ~expand ~source ~target =
 
 (* A list-valued successor function as an expansion. *)
 let of_list successors u relax = List.iter (fun (v, w) -> relax v w) (successors u)
+
+(* A push expansion in [Astar.run_to_const]'s protocol: every edge out of
+   [u] written to the buffers, whatever the label and bound. *)
+let buffered expand u _d _bound succ weight =
+  let count = ref 0 in
+  expand u (fun v w ->
+      succ.(!count) <- v;
+      weight.(!count) <- w;
+      incr count);
+  !count

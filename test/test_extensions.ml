@@ -268,6 +268,63 @@ let test_spec_io_float_roundtrip_exact () =
             f.Flow.bandwidth_mbps)
     [ 0.1 +. 0.2; 1234.5678901234567; 100.0 *. Float.pi; 1000.0 /. 3.0 ]
 
+(* The printer's former linear scan over precisions 9..17, kept as the
+   oracle for its bisection. *)
+let print_float_linear x =
+  if Float.is_integer x && Float.abs x < 1e15 then Printf.sprintf "%.0f" x
+  else begin
+    let rec shortest precision =
+      let s = Printf.sprintf "%.*g" precision x in
+      if precision >= 17 || float_of_string s = x then s
+      else shortest (precision + 1)
+    in
+    shortest 9
+  end
+
+let print_float x =
+  let b = Buffer.create 24 in
+  Spec_io.print_float b x;
+  Buffer.contents b
+
+let prop_print_float_matches_linear =
+  QCheck.Test.make
+    ~name:
+      "print_float bisection = linear scan (bit patterns, integers near \
+       1e15, generated-spec values)"
+    ~count:300
+    QCheck.(triple int64 (int_range (-2000) 2000) (pair (int_bound 1000) (int_range 4 24)))
+    (fun (bits, offset, (seed, cores)) ->
+      let agrees x = String.equal (print_float x) (print_float_linear x) in
+      let near = 1e15 +. float_of_int offset in
+      let soc =
+        Noc_benchmarks.Synth_gen.generate ~seed
+          { Noc_benchmarks.Synth_gen.default_profile with cores }
+      in
+      agrees (Int64.float_of_bits bits)
+      && agrees near && agrees (-.near) && agrees (near /. 7.0)
+      && List.for_all (fun f -> agrees f.Flow.bandwidth_mbps) soc.Soc_spec.flows
+      && Array.for_all
+           (fun c ->
+             agrees c.Noc_spec.Core_spec.area_mm2
+             && agrees c.Noc_spec.Core_spec.freq_mhz
+             && agrees c.Noc_spec.Core_spec.dynamic_mw
+             && agrees c.Noc_spec.Core_spec.leakage_mw)
+           soc.Soc_spec.cores)
+
+(* A power of two is the one double whose rounding interval is lopsided
+   (the gap below is half the gap above), the one place the bisection's
+   monotonicity argument needs more than "closer is better": check every
+   one. *)
+let test_print_float_powers_of_two () =
+  for k = -1074 to 1023 do
+    List.iter
+      (fun x ->
+        let got = print_float x and want = print_float_linear x in
+        if not (String.equal got want) then
+          Alcotest.failf "2^%d: bisection %s, linear scan %s" k got want)
+      [ ldexp 1.0 k; -.ldexp 1.0 k ]
+  done
+
 let test_spec_io_save_load () =
   let bundle = bundle_of (Noc_benchmarks.Bench_case.find "d26") in
   let path = Filename.temp_file "noc_spec" ".spec" in
@@ -557,6 +614,9 @@ let () =
           Alcotest.test_case "parse errors" `Quick test_spec_io_errors;
           Alcotest.test_case "float round-trip exact" `Quick
             test_spec_io_float_roundtrip_exact;
+          qt prop_print_float_matches_linear;
+          Alcotest.test_case "print_float on every power of two" `Quick
+            test_print_float_powers_of_two;
           Alcotest.test_case "save/load round-trip" `Quick
             test_spec_io_save_load;
           Alcotest.test_case "save error path" `Quick test_spec_io_save_error;

@@ -11,11 +11,14 @@
    any route, cost or counter fails here.
 
    Inputs: the paper benchmarks d12-d48 on their default islands, d26
-   with protection (the backup-route path), and generated 4-island SoCs
-   with link pipelining on — at 32 cores no link needs a register stage,
-   at 64 some do, which puts non-zero stages into the hop memo's tags.
-   Every sweep starts from cleared process-wide tables and runs on one
-   domain. *)
+   and d48 with protection (backup searches run under masks), and
+   generated 4-island SoCs with link pipelining on — at 32 cores no link
+   needs a register stage, at 64 some do.  Last, a 96-core, 8-island
+   balanced SoC shaped like perfbench's scale set (pipelined, 3,258 of
+   its 15,622 saved links carry register stages); it and d48 protected
+   were computed with the per-state hop memo the closed-form kernel
+   replaced.  Every sweep starts from cleared process-wide tables and
+   runs on one domain. *)
 
 module Config = Noc_synthesis.Config
 module Synth = Noc_synthesis.Synth
@@ -63,10 +66,43 @@ let bench ?protect name =
   let case = Bench_case.find name in
   sweep ?protect Config.default case.Bench_case.soc case.Bench_case.default_vi
 
+let pipelined = { Config.default with Config.allow_link_pipelining = true }
+
 let generated ~cores seed =
   let soc = Synth_gen.generate ~seed { Synth_gen.default_profile with cores } in
   let vi = Synth_gen.random_vi ~seed ~islands:4 soc in
-  sweep { Config.default with Config.allow_link_pipelining = true } soc vi
+  sweep pipelined soc vi
+
+(* The scale set's shape: hubs, pipelines and roomy budgets as in the
+   d128 recipe, on [islands] equal-sized islands (island 0 always-on) in
+   a seeded order. *)
+let balanced ~cores ~islands seed =
+  let soc =
+    Synth_gen.generate ~seed
+      {
+        Synth_gen.cores;
+        hub_fraction = 0.1;
+        pipeline_count = cores / 16;
+        max_bw_mbps = 1600.0;
+        tight_latency = 20;
+      }
+  in
+  let st = Random.State.make [| seed; 0xBA1 |] in
+  let perm = Array.init cores Fun.id in
+  for i = cores - 1 downto 1 do
+    let j = Random.State.int st (i + 1) in
+    let t = perm.(i) in
+    perm.(i) <- perm.(j);
+    perm.(j) <- t
+  done;
+  let of_core = Array.make cores 0 in
+  Array.iteri (fun pos core -> of_core.(core) <- pos mod islands) perm;
+  let vi =
+    Noc_spec.Vi.make ~islands ~of_core
+      ~shutdownable:(Array.init islands (fun i -> i > 0))
+      ()
+  in
+  sweep pipelined soc vi
 
 (* (input, result digest, routes MD5) *)
 let fixture =
@@ -104,6 +140,13 @@ let fixture =
     ("gen64 seed 1 pipelined", (fun () -> generated ~cores:64 1),
       "40d418f8cf5bcc1e9c952e3ab723800b",
       "3b6aa85317ebfd18578919e49f8a3264" );
+    ("d48 protected", (fun () -> bench ~protect:true "d48"),
+      "29bafa5f0a97a620a77ebbdfde15e492",
+      "eff624da622c9683c7cef47d71faa6c7" );
+    ("gen96 8-island seed 26 pipelined",
+      (fun () -> balanced ~cores:96 ~islands:8 26),
+      "df36ba53326334af0cda075a2b1a8a57",
+      "e12d10a9d7c2e9fcdab442fed6916dde" );
   ]
 
 let test_golden (_, run, digest, routes) () =

@@ -69,73 +69,73 @@ let prop_heap_sorted =
 
 let indexed_pop_all h =
   let rec go acc =
-    match Heap.Indexed.pop_min h with
+    match Astar.Indexed.pop_min h with
     | -1 -> List.rev acc
     | id -> go (id :: acc)
   in
   go []
 
 let test_indexed_basic () =
-  let h = Heap.Indexed.create 8 in
-  checkb "fresh empty" true (Heap.Indexed.is_empty h);
-  checki "pop empty" (-1) (Heap.Indexed.pop_min h);
-  Heap.Indexed.insert h 3 ~key:3.0 ~tie:0.0;
-  Heap.Indexed.insert h 1 ~key:1.0 ~tie:0.0;
-  Heap.Indexed.insert h 5 ~key:2.0 ~tie:0.0;
-  checki "length" 3 (Heap.Indexed.length h);
-  checkb "mem" true (Heap.Indexed.mem h 5);
-  checkb "not mem" false (Heap.Indexed.mem h 0);
+  let h = Astar.Indexed.create 8 in
+  checkb "fresh empty" true (Astar.Indexed.is_empty h);
+  checki "pop empty" (-1) (Astar.Indexed.pop_min h);
+  Astar.Indexed.insert h 3 ~key:3.0 ~tie:0.0;
+  Astar.Indexed.insert h 1 ~key:1.0 ~tie:0.0;
+  Astar.Indexed.insert h 5 ~key:2.0 ~tie:0.0;
+  checki "length" 3 (Astar.Indexed.length h);
+  checkb "mem" true (Astar.Indexed.mem h 5);
+  checkb "not mem" false (Astar.Indexed.mem h 0);
   check Alcotest.(list int) "key order" [ 1; 5; 3 ] (indexed_pop_all h);
-  checkb "popped not mem" false (Heap.Indexed.mem h 1)
+  checkb "popped not mem" false (Astar.Indexed.mem h 1)
 
 let test_indexed_decrease () =
-  let h = Heap.Indexed.create 4 in
-  Heap.Indexed.insert h 0 ~key:10.0 ~tie:0.0;
-  Heap.Indexed.insert h 1 ~key:5.0 ~tie:0.0;
-  Heap.Indexed.insert h 2 ~key:7.0 ~tie:0.0;
-  Heap.Indexed.decrease h 2 ~key:1.0 ~tie:0.0;
-  checki "decreased pops first" 2 (Heap.Indexed.pop_min h);
+  let h = Astar.Indexed.create 4 in
+  Astar.Indexed.insert h 0 ~key:10.0 ~tie:0.0;
+  Astar.Indexed.insert h 1 ~key:5.0 ~tie:0.0;
+  Astar.Indexed.insert h 2 ~key:7.0 ~tie:0.0;
+  Astar.Indexed.decrease h 2 ~key:1.0 ~tie:0.0;
+  checki "decreased pops first" 2 (Astar.Indexed.pop_min h);
   (* insert_or_decrease never worsens a member's key *)
-  Heap.Indexed.insert_or_decrease h 1 ~key:99.0 ~tie:0.0;
-  checki "no increase" 1 (Heap.Indexed.pop_min h);
-  Heap.Indexed.insert_or_decrease h 3 ~key:0.5 ~tie:0.0;
-  checki "inserted" 3 (Heap.Indexed.pop_min h);
-  checki "last" 0 (Heap.Indexed.pop_min h);
-  checkb "drained" true (Heap.Indexed.is_empty h)
+  Astar.Indexed.insert_or_decrease h 1 ~key:99.0 ~tie:0.0;
+  checki "no increase" 1 (Astar.Indexed.pop_min h);
+  Astar.Indexed.insert_or_decrease h 3 ~key:0.5 ~tie:0.0;
+  checki "inserted" 3 (Astar.Indexed.pop_min h);
+  checki "last" 0 (Astar.Indexed.pop_min h);
+  checkb "drained" true (Astar.Indexed.is_empty h)
 
 let test_indexed_tie_order () =
   (* Equal keys: the tie field decides, then the id — never heap
      internals.  Insert in a scrambled order to stress it. *)
-  let h = Heap.Indexed.create 8 in
-  Heap.Indexed.insert h 6 ~key:1.0 ~tie:2.0;
-  Heap.Indexed.insert h 3 ~key:1.0 ~tie:1.0;
-  Heap.Indexed.insert h 7 ~key:1.0 ~tie:1.0;
-  Heap.Indexed.insert h 2 ~key:1.0 ~tie:2.0;
-  Heap.Indexed.insert h 5 ~key:0.5 ~tie:9.0;
+  let h = Astar.Indexed.create 8 in
+  Astar.Indexed.insert h 6 ~key:1.0 ~tie:2.0;
+  Astar.Indexed.insert h 3 ~key:1.0 ~tie:1.0;
+  Astar.Indexed.insert h 7 ~key:1.0 ~tie:1.0;
+  Astar.Indexed.insert h 2 ~key:1.0 ~tie:2.0;
+  Astar.Indexed.insert h 5 ~key:0.5 ~tie:9.0;
   check Alcotest.(list int) "lexicographic (key, tie, id)" [ 5; 3; 7; 2; 6 ]
     (indexed_pop_all h)
 
 let test_indexed_clear () =
-  let h = Heap.Indexed.create 16 in
+  let h = Astar.Indexed.create 16 in
   for i = 0 to 15 do
-    Heap.Indexed.insert h i ~key:(float_of_int (15 - i)) ~tie:0.0
+    Astar.Indexed.insert h i ~key:(float_of_int (15 - i)) ~tie:0.0
   done;
-  ignore (Heap.Indexed.pop_min h);
-  Heap.Indexed.clear h;
-  checkb "cleared" true (Heap.Indexed.is_empty h);
-  checkb "membership reset" false (Heap.Indexed.mem h 3);
+  ignore (Astar.Indexed.pop_min h);
+  Astar.Indexed.clear h;
+  checkb "cleared" true (Astar.Indexed.is_empty h);
+  checkb "membership reset" false (Astar.Indexed.mem h 3);
   (* reusable after clear *)
-  Heap.Indexed.insert h 3 ~key:1.0 ~tie:0.0;
-  checki "reinsert" 3 (Heap.Indexed.pop_min h)
+  Astar.Indexed.insert h 3 ~key:1.0 ~tie:0.0;
+  checki "reinsert" 3 (Astar.Indexed.pop_min h)
 
 let prop_indexed_sorted =
   QCheck.Test.make ~name:"indexed heap pops ids in (key, id) order" ~count:200
     QCheck.(list (int_bound 50))
     (fun raw ->
       let keys = List.sort_uniq compare raw in
-      let h = Heap.Indexed.create 64 in
+      let h = Astar.Indexed.create 64 in
       List.iter
-        (fun i -> Heap.Indexed.insert h i ~key:(float_of_int (i mod 7)) ~tie:0.0)
+        (fun i -> Astar.Indexed.insert h i ~key:(float_of_int (i mod 7)) ~tie:0.0)
         keys;
       let popped = indexed_pop_all h in
       let expected =
@@ -441,8 +441,9 @@ let test_astar_diamond () =
   let g = diamond () in
   let arena = Astar.create () in
   match
-    Astar.run_to_const arena ~n:4 ~expand:(expand_of g) ~floor:0.0 ~source:0
-      ~target:3
+    Astar.run_to_const arena ~n:4
+      ~expand:(Dijkstra.buffered (expand_of g))
+      ~floor:0.0 ~source:0 ~target:3
   with
   | Some (cost, path) ->
     checkf "cost" 3.0 cost;
@@ -456,8 +457,9 @@ let test_astar_unreachable () =
   check
     Alcotest.(option (pair (float 0.0) (list int)))
     "unreachable" None
-    (Astar.run_to_const arena ~n:3 ~expand:(expand_of g) ~floor:infinity
-       ~source:0 ~target:2)
+    (Astar.run_to_const arena ~n:3
+       ~expand:(Dijkstra.buffered (expand_of g))
+       ~floor:infinity ~source:0 ~target:2)
 
 let test_astar_same_node () =
   let arena = Astar.create () in
@@ -466,7 +468,7 @@ let test_astar_same_node () =
     "source = target"
     (Some (0.0, [ 1 ]))
     (Astar.run_to_const arena ~n:3
-       ~expand:(fun _ _ -> ())
+       ~expand:(fun _ _ _ _ _ -> 0)
        ~floor:0.0 ~source:1 ~target:1)
 
 let test_astar_ignores_bad_edges () =
@@ -481,7 +483,8 @@ let test_astar_ignores_bad_edges () =
   in
   let arena = Astar.create () in
   match
-    Astar.run_to_const arena ~n:3 ~expand ~floor:0.0 ~source:0 ~target:1
+    Astar.run_to_const arena ~n:3 ~expand:(Dijkstra.buffered expand)
+      ~floor:0.0 ~source:0 ~target:1
   with
   | Some (cost, path) ->
     checkf "bad edges skipped" 2.0 cost;
@@ -512,7 +515,8 @@ let prop_astar_matches_dijkstra =
           (fun floor ->
             (* bit-identity, not tolerance: same float cost, same path *)
             if
-              Astar.run_to_const arena ~n ~expand ~floor ~source:0 ~target
+              Astar.run_to_const arena ~n ~expand:(Dijkstra.buffered expand)
+                ~floor ~source:0 ~target
               <> reference
             then ok := false)
           [ 0.0; exact_floor g target ]

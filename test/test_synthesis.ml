@@ -527,6 +527,33 @@ let test_route_all_infeasible_reports_error () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "expected an infeasible allocation"
 
+(* The hop model is tabulated per location, so two switches of one
+   island on different clocks must be refused, not priced wrongly. *)
+let test_island_clock_mismatch_rejected () =
+  let position = Geometry.point 0.0 0.0 in
+  let sw id location freq =
+    { Topology.sw_id = id; location; freq_mhz = freq; vdd = 0.8; position }
+  in
+  let topo =
+    Topology.create ~islands:1
+      ~switches:
+        [| sw 0 (Topology.Island 0) 400.0; sw 1 (Topology.Island 0) 300.0 |]
+      ~core_switch:[| 0; 1 |] ~flit_bits:32
+  in
+  let clocks =
+    [|
+      {
+        Freq_assign.island = 0;
+        freq_mhz = 400.0;
+        vdd = 0.8;
+        max_arity = 8;
+        min_switches = 1;
+      };
+    |]
+  in
+  expect_invalid "switches of one island on two clocks" (fun () ->
+      Path_alloc.session config topo ~clocks)
+
 let test_routes_complete_and_capacitated () =
   let best = synth_best d26 d26_vi6 in
   let topo = best.Design_point.topology in
@@ -875,6 +902,8 @@ let () =
             test_ripup_recovers_tight_flow;
           Alcotest.test_case "infeasible allocation reported" `Quick
             test_route_all_infeasible_reports_error;
+          Alcotest.test_case "island clock mismatch rejected" `Quick
+            test_island_clock_mismatch_rejected;
         ] );
       ( "synth sweep",
         [
